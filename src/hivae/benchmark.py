@@ -1,8 +1,8 @@
 """MCAR masking, per-type imputation metrics, the mean/mode baseline, and the
 missing-rate experiment grid.
 
-Columns are scored by exactly one metric determined by their kind: NRMSE for
-real/pos/count, accuracy error for categorical, displacement error for
+Columns are scored by the one metric their kind names (``hivae.kinds``): NRMSE
+for real/pos/count, accuracy error for categorical, displacement error for
 ordinal.  The headline number is the unweighted mean of per-column errors.
 """
 
@@ -91,15 +91,7 @@ def mean_mode_impute(table: HeterogeneousTable, mask: MissingMask) -> Imputation
         vals = table.cells[obs, d]
         if vals.size == 0:
             raise DataError(f"column {col.name!r} has no observed cells")
-        if col.is_numeric:
-            fill = float(np.mean(vals))
-            if col.kind == "count":
-                fill = float(np.floor(fill + 0.5))
-            stat = "mean"
-        else:
-            counts = np.bincount(vals.astype(np.intp), minlength=col.cardinality)
-            fill = float(np.argmax(counts))
-            stat = "mode"
+        fill, stat = col.kind_class.baseline(vals, col.cardinality)
         missing = np.flatnonzero(~obs)
         completed[missing, d] = fill
         fills.extend(
@@ -132,12 +124,6 @@ class MetricsReport:
     warnings: tuple[str, ...] = ()
 
 
-def column_metric(kind: str) -> str:
-    if kind in ("real", "pos", "count"):
-        return NUMERIC_METRIC
-    return CAT_METRIC if kind == "cat" else ORDINAL_METRIC
-
-
 def score_imputation(
     truth: HeterogeneousTable,
     imputed: HeterogeneousTable,
@@ -164,7 +150,7 @@ def score_imputation(
     for d, col in enumerate(truth.schema.columns):
         scored = ~mask.observed[:, d]
         n_cells = int(scored.sum())
-        metric = column_metric(col.kind)
+        metric = col.kind_class.metric
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             if metric == NUMERIC_METRIC:

@@ -210,7 +210,9 @@ def cmd_benchmark(args) -> int:
     else:
         if args.types is None:
             raise UsageError("--types is required with --data")
-        table, _ = load_dataset(args.data, args.types)
+        table, mask = load_dataset(args.data, args.types)
+        if not mask.observed.all():
+            raise TabularError(f"{args.data}: must be a complete table (no empty cells)")
     config = _config(args)
     reports = B.run_benchmark(table, config, fractions, args.repeats, methods, args.seed)
     with open(args.out, "w") as fh:
@@ -227,8 +229,6 @@ def cmd_predict(args) -> int:
         t = table.schema.column_index(args.target)
     except TabularError as exc:
         raise UsageError(str(exc)) from None
-    if table.schema.columns[t].kind != "cat":
-        raise UsageError(f"target column {args.target!r} is not categorical")
     config = _config(args)
     outcome = I.predict_target(
         table, mask, args.target, args.train_fraction, config, np.random.default_rng(args.seed)

@@ -394,6 +394,13 @@ def forward_dense(layer: DenseLayer, x: Tensor) -> Tensor:
     return y
 
 
+def init_stack(n_in: int, n_out: int, layers: int, rng) -> list[DenseLayer]:
+    """One dense layer, or hidden-ReLU + output for the 2-layer variant."""
+    if layers == 1:
+        return [init_dense(n_in, n_out, "identity", rng)]
+    return [init_dense(n_in, n_in, "relu", rng), init_dense(n_in, n_out, "identity", rng)]
+
+
 def forward_stack(layers, x: Tensor) -> Tensor:
     for layer in layers:
         x = forward_dense(layer, x)

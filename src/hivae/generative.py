@@ -1,48 +1,37 @@
 """Mixture prior, shared representation, and per-column likelihood heads.
 
 The latent code z maps through one shared dense stack to a homogeneous
-representation split into one slice per column; each column's head turns its
-slice (and the mixture assignment s) into likelihood parameters for that
-column's kind:
-
-    real     Normal(mu, var)           mean reads (y_d, s); variance reads s
-    pos      log-Normal(mu, var)       same as real, fitted on ln(x)
-    count    Poisson(rate)             rate reads (y_d, s)
-    cat      softmax over R logits     logit 0 pinned to zero for identifiability
-    ordinal  cumulative logit          location reads (y_d, s); thresholds read s
-
-Positive parameters go through softplus and a small floor; ordinal thresholds
-are a cumulative sum of floored-positive gaps, so they strictly increase.
-Normal/log-Normal moments are de-standardized with the column's shift/scale;
-Poisson rates are produced directly on the raw scale.
+representation split into one slice per column; each column's head reads its
+slice and the mixture assignment s, and the column's class in ``hivae.kinds``
+turns the head outputs into likelihood parameters for that column's kind.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import compute as C
+from .kinds import (  # noqa: F401  (the parameter variants and VAR_FLOOR are re-exported)
+    LOG_2PI,
+    VAR_FLOOR,
+    CategoricalParams,
+    LikelihoodParams,
+    LogNormalParams,
+    NormalParams,
+    OrdinalParams,
+    PoissonParams,
+)
 from .recognition import LatentSample
 from .tabular import NormalizationStats, Schema
-
-VAR_FLOOR = 1e-6
-RATE_FLOOR = 1e-6
-GAP_FLOOR = 1e-6
-PROB_FLOOR = 1e-30
-
-LOG_2PI = math.log(2.0 * math.pi)
 
 
 @dataclass
 class ColumnHead:
-    """Per-column decoder head; scale_layers is None for count/cat columns."""
+    """Per-column decoder head; scale_layers is None when the kind has no scale."""
 
-    kind: str
-    cardinality: int
+    kind: type[LikelihoodParams]  # the column's class in hivae.kinds
     loc_layers: list  # concat(y_d, s) -> location-like outputs
     scale_layers: list | None  # s -> scale/threshold outputs
 
@@ -72,40 +61,17 @@ class GenerativeNets:
         return params
 
 
-def _stack(n_in: int, n_out: int, layers: int, rng) -> list:
-    if layers == 1:
-        return [C.init_dense(n_in, n_out, "identity", rng)]
-    return [
-        C.init_dense(n_in, n_in, "relu", rng),
-        C.init_dense(n_in, n_out, "identity", rng),
-    ]
-
-
-def _head_widths(kind: str, cardinality: int) -> tuple[int, int]:
-    """(location width, scale width) of a column head."""
-    if kind in ("real", "pos"):
-        return 1, 1
-    if kind == "count":
-        return 1, 0
-    if kind == "cat":
-        return cardinality - 1, 0
-    if kind == "ordinal":
-        return 1, cardinality - 1
-    raise ValueError(f"unknown kind {kind!r}")
-
-
 def build_generative(
     schema: Schema, dim_s: int, dim_z: int, dim_y: int, layers: int, rng
 ) -> GenerativeNets:
     heads = []
     for col in schema.columns:
-        loc_w, scale_w = _head_widths(col.kind, col.cardinality)
+        loc_w, scale_w = col.kind_class.head_widths(col.cardinality)
         heads.append(
             ColumnHead(
-                kind=col.kind,
-                cardinality=col.cardinality,
-                loc_layers=_stack(dim_y + dim_s, loc_w, layers, rng),
-                scale_layers=_stack(dim_s, scale_w, layers, rng) if scale_w else None,
+                kind=col.kind_class,
+                loc_layers=C.init_stack(dim_y + dim_s, loc_w, layers, rng),
+                scale_layers=C.init_stack(dim_s, scale_w, layers, rng) if scale_w else None,
             )
         )
     return GenerativeNets(
@@ -113,48 +79,9 @@ def build_generative(
         dim_z=dim_z,
         dim_y=dim_y,
         prior_mu_table=C.parameter(rng.uniform(-0.05, 0.05, size=(dim_s, dim_z))),
-        g_layers=_stack(dim_z, len(schema) * dim_y, layers, rng),
+        g_layers=C.init_stack(dim_z, len(schema) * dim_y, layers, rng),
         heads=heads,
     )
-
-
-# ---------------------------------------------------------------------------
-# Likelihood parameter variants
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NormalParams:
-    mu: C.Tensor  # (B, 1)
-    var: C.Tensor  # (B, 1)
-
-
-@dataclass(frozen=True)
-class LogNormalParams:
-    mu: C.Tensor  # moments of ln(x)
-    var: C.Tensor
-
-
-@dataclass(frozen=True)
-class PoissonParams:
-    rate: C.Tensor  # (B, 1)
-
-
-@dataclass(frozen=True)
-class CategoricalParams:
-    probs: C.Tensor  # (B, R) rows on the simplex
-
-
-@dataclass(frozen=True)
-class OrdinalParams:
-    probs: C.Tensor  # (B, R) rows on the simplex
-    thresholds: C.Tensor  # (B, R-1) strictly increasing
-    location: C.Tensor  # (B, 1)
-
-
-LikelihoodParams = (
-    NormalParams | LogNormalParams | PoissonParams | CategoricalParams | OrdinalParams
-)
 
 
 def prior_log_density(nets: GenerativeNets, z, s_soft) -> C.Tensor:
@@ -176,46 +103,11 @@ def decode(
     out: list[LikelihoodParams] = []
     for d, head in enumerate(nets.heads):
         y_d = C.narrow(Y, d * nets.dim_y, nets.dim_y)
-        loc_in = C.concat([y_d, s])
-        loc = C.forward_stack(head.loc_layers, loc_in)
-        if head.kind in ("real", "pos"):
-            st = stats.require(d)
-            raw_var = C.clip_min(C.softplus(C.forward_stack(head.scale_layers, s)), VAR_FLOOR)
-            mu = loc * st.scale + st.shift
-            var = raw_var * (st.scale**2)
-            out.append(NormalParams(mu, var) if head.kind == "real" else LogNormalParams(mu, var))
-        elif head.kind == "count":
-            out.append(PoissonParams(C.clip_min(C.softplus(loc), RATE_FLOOR)))
-        elif head.kind == "cat":
-            zeros = C.constant(np.zeros((loc.values.shape[0], 1)))
-            out.append(CategoricalParams(C.softmax(C.concat([zeros, loc]), axis=1)))
-        else:  # ordinal
-            gaps = C.clip_min(C.softplus(C.forward_stack(head.scale_layers, s)), GAP_FLOOR)
-            thresholds = C.cumsum(gaps, axis=1)
-            cdf = C.sigmoid(thresholds - loc)
-            B = loc.values.shape[0]
-            ones = C.constant(np.ones((B, 1)))
-            zeros = C.constant(np.zeros((B, 1)))
-            probs = C.concat([cdf, ones]) - C.concat([zeros, cdf])
-            out.append(OrdinalParams(probs, thresholds, loc))
+        loc = C.forward_stack(head.loc_layers, C.concat([y_d, s]))
+        scale = C.forward_stack(head.scale_layers, s) if head.scale_layers else None
+        st = None if head.kind.nominal else stats.require(d)
+        out.append(head.kind.from_head(loc, scale, st))
     return out
-
-
-def _column(x) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    return x.reshape(-1, 1)
-
-
-def _gather_log_prob(probs: C.Tensor, classes: np.ndarray, cardinality: int) -> C.Tensor:
-    classes = np.asarray(classes)
-    if classes.min() < 0 or classes.max() >= cardinality:
-        raise ValueError(
-            f"class index out of range 0..{cardinality - 1}: {classes.min()}..{classes.max()}"
-        )
-    onehot = np.zeros((classes.size, cardinality))
-    onehot[np.arange(classes.size), classes.astype(np.intp)] = 1.0
-    picked = C.tsum(C.log(C.clip_min(probs, PROB_FLOOR)) * C.constant(onehot), axis=1, keepdims=True)
-    return picked
 
 
 def log_likelihood(params: LikelihoodParams, x) -> C.Tensor:
@@ -224,96 +116,19 @@ def log_likelihood(params: LikelihoodParams, x) -> C.Tensor:
     Includes the log-Normal 1/x Jacobian and the Poisson -log(x!) term, so
     densities integrate (masses sum) to one over the support.
     """
-    if isinstance(params, NormalParams):
-        xv = C.constant(_column(x))
-        diff = xv - params.mu
-        return -0.5 * LOG_2PI - 0.5 * C.log(params.var) - diff * diff / (params.var * 2.0)
-    if isinstance(params, LogNormalParams):
-        xv = _column(x)
-        if (xv <= 0).any():
-            raise ValueError("log-Normal likelihood requires values > 0")
-        lx = np.log(xv)
-        diff = C.constant(lx) - params.mu
-        return (
-            -0.5 * LOG_2PI
-            - 0.5 * C.log(params.var)
-            - diff * diff / (params.var * 2.0)
-            - C.constant(lx)
-        )
-    if isinstance(params, PoissonParams):
-        xv = _column(x)
-        if (xv < 0).any() or not np.equal(np.mod(xv, 1), 0).all():
-            raise ValueError("Poisson likelihood requires integer values >= 0")
-        return (
-            C.constant(xv) * C.log(params.rate)
-            - params.rate
-            - C.constant(gammaln(xv + 1.0))
-        )
-    if isinstance(params, CategoricalParams):
-        return _gather_log_prob(params.probs, np.asarray(x, dtype=np.intp), params.probs.values.shape[1])
-    if isinstance(params, OrdinalParams):
-        return _gather_log_prob(params.probs, np.asarray(x, dtype=np.intp), params.probs.values.shape[1])
-    raise TypeError(f"not a likelihood parameter variant: {params!r}")
+    return params.log_prob(x)
 
 
 def mode(params: LikelihoodParams) -> np.ndarray:
     """Most probable value per row (ties on discrete kinds -> lowest index)."""
-    if isinstance(params, NormalParams):
-        return params.mu.values[:, 0].copy()
-    if isinstance(params, LogNormalParams):
-        # degenerate (unnormalized) models may overflow to inf; keep that visible
-        with np.errstate(over="ignore"):
-            return np.exp(params.mu.values[:, 0] - params.var.values[:, 0])
-    if isinstance(params, PoissonParams):
-        return np.floor(params.rate.values[:, 0])
-    if isinstance(params, (CategoricalParams, OrdinalParams)):
-        return np.argmax(params.probs.values, axis=1).astype(np.float64)
-    raise TypeError(f"not a likelihood parameter variant: {params!r}")
+    return params.mode()
 
 
 def sample(params: LikelihoodParams, rng) -> np.ndarray:
     """One draw per row from the parameterized distribution."""
-    if isinstance(params, NormalParams):
-        mu, var = params.mu.values[:, 0], params.var.values[:, 0]
-        return mu + np.sqrt(var) * rng.standard_normal(mu.shape)
-    if isinstance(params, LogNormalParams):
-        mu, var = params.mu.values[:, 0], params.var.values[:, 0]
-        with np.errstate(over="ignore"):
-            return np.exp(mu + np.sqrt(var) * rng.standard_normal(mu.shape))
-    if isinstance(params, PoissonParams):
-        return rng.poisson(params.rate.values[:, 0]).astype(np.float64)
-    if isinstance(params, (CategoricalParams, OrdinalParams)):
-        probs = params.probs.values
-        cdf = np.cumsum(probs, axis=1)
-        u = rng.random(probs.shape[0])
-        idx = (u[:, None] > cdf).sum(axis=1)
-        return np.minimum(idx, probs.shape[1] - 1).astype(np.float64)
-    raise TypeError(f"not a likelihood parameter variant: {params!r}")
+    return params.sample(rng)
 
 
 def params_summary(params: LikelihoodParams, row: int) -> dict:
     """JSON-friendly snapshot of one row's distribution parameters."""
-    if isinstance(params, NormalParams):
-        return {
-            "kind": "real",
-            "mean": float(params.mu.values[row, 0]),
-            "var": float(params.var.values[row, 0]),
-        }
-    if isinstance(params, LogNormalParams):
-        return {
-            "kind": "pos",
-            "log_mean": float(params.mu.values[row, 0]),
-            "log_var": float(params.var.values[row, 0]),
-        }
-    if isinstance(params, PoissonParams):
-        return {"kind": "count", "rate": float(params.rate.values[row, 0])}
-    if isinstance(params, CategoricalParams):
-        return {"kind": "cat", "probs": [float(p) for p in params.probs.values[row]]}
-    if isinstance(params, OrdinalParams):
-        return {
-            "kind": "ordinal",
-            "probs": [float(p) for p in params.probs.values[row]],
-            "thresholds": [float(t) for t in params.thresholds.values[row]],
-            "location": float(params.location.values[row, 0]),
-        }
-    raise TypeError(f"not a likelihood parameter variant: {params!r}")
+    return params.summary(row)

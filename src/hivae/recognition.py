@@ -59,16 +59,6 @@ class EncoderNets:
         return params
 
 
-def _stack(n_in: int, n_out: int, layers: int, rng) -> list:
-    """One dense layer, or hidden-ReLU + output for the 2-layer variant."""
-    if layers == 1:
-        return [C.init_dense(n_in, n_out, "identity", rng)]
-    return [
-        C.init_dense(n_in, n_in, "relu", rng),
-        C.init_dense(n_in, n_out, "identity", rng),
-    ]
-
-
 def build_encoder(
     schema: Schema, dim_s: int, dim_z: int, layers: int, mode: str, rng
 ) -> EncoderNets:
@@ -79,8 +69,8 @@ def build_encoder(
             dim_s=dim_s,
             dim_z=dim_z,
             input_width=width,
-            s_layers=_stack(width, dim_s, layers, rng),
-            z_layers=_stack(width + dim_s, 2 * dim_z, layers, rng),
+            s_layers=C.init_stack(width, dim_s, layers, rng),
+            z_layers=C.init_stack(width + dim_s, 2 * dim_z, layers, rng),
         )
     if mode == FACTORIZED:
         if dim_s != 1:
@@ -91,7 +81,7 @@ def build_encoder(
             dim_z=dim_z,
             input_width=width,
             per_column=[
-                _stack(col.encoded_width, 2 * dim_z, layers, rng)
+                C.init_stack(col.encoded_width, 2 * dim_z, layers, rng)
                 for col in schema.columns
             ],
         )

@@ -1,12 +1,8 @@
 """Typed-column data model: schemas, tables, masks, normalization, encoding.
 
-A dataset is an N x D grid of cells where every column has one of five kinds:
-
-    real      unbounded real values
-    pos       strictly positive reals
-    count     nonnegative integers
-    cat       unordered classes 0..R-1
-    ordinal   ordered classes 0..R-1
+A dataset is an N x D grid of cells where every column has one of the five
+kinds defined in ``hivae.kinds`` (real, pos, count, cat, ordinal); that module
+holds each kind's support, transform, encoder block and cell format.
 
 Cells can be individually missing.  Missing cells are stored as a neutral
 sentinel (0.0) and must never be read except through the mask; every encoder
@@ -23,9 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-NUMERIC_KINDS = ("real", "pos", "count")
-NOMINAL_KINDS = ("cat", "ordinal")
-ALL_KINDS = NUMERIC_KINDS + NOMINAL_KINDS
+from .kinds import KINDS
 
 # Lower bound on fitted scale; keeps constant columns from dividing by ~0.
 SCALE_FLOOR = 1e-3
@@ -59,12 +53,12 @@ class ColumnSpec:
     def __post_init__(self):
         if not self.name or "," in self.name:
             raise SchemaError(f"invalid column name {self.name!r}")
-        if self.kind not in ALL_KINDS:
+        if self.kind not in KINDS:
             raise SchemaError(
                 f"column {self.name!r}: unknown kind {self.kind!r} "
-                f"(expected one of {', '.join(ALL_KINDS)})"
+                f"(expected one of {', '.join(KINDS)})"
             )
-        if self.kind in NOMINAL_KINDS:
+        if self.is_nominal:
             if self.cardinality < 2:
                 raise SchemaError(
                     f"column {self.name!r}: kind {self.kind!r} needs cardinality >= 2"
@@ -75,17 +69,22 @@ class ColumnSpec:
             )
 
     @property
+    def kind_class(self):
+        """The ``hivae.kinds`` class that defines this column's kind."""
+        return KINDS[self.kind]
+
+    @property
     def is_numeric(self) -> bool:
-        return self.kind in NUMERIC_KINDS
+        return not self.is_nominal
 
     @property
     def is_nominal(self) -> bool:
-        return self.kind in NOMINAL_KINDS
+        return self.kind_class.nominal
 
     @property
     def encoded_width(self) -> int:
         """Slots this column occupies in the encoder input."""
-        return 1 if self.is_numeric else self.cardinality
+        return self.kind_class.encoded_width(self.cardinality)
 
 
 @dataclass(frozen=True)
@@ -200,25 +199,9 @@ class EncodedBatch:
 
     schema: Schema
     values: np.ndarray  # (batch, encoded_width)
-    rows: tuple[int, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "values", _freeze(np.asarray(self.values, dtype=np.float64)))
-
-
-def _numeric_transform(kind: str, x: np.ndarray) -> np.ndarray:
-    """Map raw numeric values into the domain the stats are fitted on."""
-    if kind == "real":
-        return x
-    if kind == "pos":
-        return np.log(x)
-    if kind == "count":
-        return np.log1p(x)
-    raise ValueError(f"not a numeric kind: {kind}")
-
-
-def transform_domain(kind: str) -> str:
-    return {"real": "raw", "pos": "log", "count": "log1p"}[kind]
 
 
 def fit_normalization(
@@ -236,18 +219,19 @@ def fit_normalization(
     mask.check_shape(table)
     stats: list[ColumnStats | None] = []
     for d, col in enumerate(table.schema.columns):
-        if not col.is_numeric:
+        kind = col.kind_class
+        if kind.nominal:
             stats.append(None)
             continue
         obs = mask.observed[rows, d]
         vals = table.cells[rows, d][obs]
         if vals.size == 0:
-            stats.append(ColumnStats(0.0, 1.0, transform_domain(col.kind)))
+            stats.append(ColumnStats(0.0, 1.0, kind.domain))
             continue
-        t = _numeric_transform(col.kind, vals)
+        t = kind.transform(vals)
         shift = float(np.mean(t))
         scale = float(max(np.std(t), SCALE_FLOOR))
-        stats.append(ColumnStats(shift, scale, transform_domain(col.kind)))
+        stats.append(ColumnStats(shift, scale, kind.domain))
     return NormalizationStats(tuple(stats))
 
 
@@ -255,7 +239,7 @@ def identity_stats(schema: Schema) -> NormalizationStats:
     """(0, 1) stats for every numeric column; used when normalization is off."""
     return NormalizationStats(
         tuple(
-            ColumnStats(0.0, 1.0, transform_domain(c.kind)) if c.is_numeric else None
+            None if c.is_nominal else ColumnStats(0.0, 1.0, c.kind_class.domain)
             for c in schema.columns
         )
     )
@@ -269,9 +253,8 @@ def encode_inputs(
 ) -> EncodedBatch:
     """Build the zero-filled encoder input for the given rows.
 
-    Numeric cells map to one standardized slot, categorical cells to a one-hot
-    block, ordinal cells to a thermometer block (class r sets slots 0..r).
-    Missing cells leave their whole block at zero, so the result depends only
+    Each observed cell fills its column's block as its kind encodes it;
+    missing cells leave their whole block at zero, so the result depends only
     on observed values.
     """
     rows = np.asarray(list(rows), dtype=np.intp)
@@ -283,20 +266,10 @@ def encode_inputs(
         obs = mask.observed[rows, d]
         if not obs.any():
             continue
-        vals = table.cells[rows, d]
-        if col.is_numeric:
-            st = stats.require(d)
-            t = _numeric_transform(col.kind, vals[obs])
-            out[obs, off] = (t - st.shift) / st.scale
-        else:
-            classes = vals[obs].astype(np.intp)
-            sub = np.zeros((classes.size, width))
-            if col.kind == "cat":
-                sub[np.arange(classes.size), classes] = 1.0
-            else:  # thermometer: class r -> r+1 leading ones
-                sub[np.arange(width)[None, :] <= classes[:, None]] = 1.0
-            out[obs, off : off + width] = sub
-    return EncodedBatch(table.schema, out, tuple(int(r) for r in rows))
+        st = None if col.is_nominal else stats.require(d)
+        block = col.kind_class.encode(table.cells[rows, d][obs], st, col.cardinality)
+        out[obs, off : off + width] = block
+    return EncodedBatch(table.schema, out)
 
 
 # ---------------------------------------------------------------------------
@@ -343,18 +316,10 @@ def _parse_cell(field: str, col: ColumnSpec, where: str) -> float:
         raise DataError(f"{where}: {field!r} is not numeric") from None
     if not math.isfinite(value):
         raise DataError(f"{where}: non-finite value {field!r}")
-    if col.kind == "pos":
-        if value <= 0:
-            raise DataError(f"{where}: pos column requires value > 0, got {field!r}")
-    elif col.kind == "count":
-        if value < 0 or not float(value).is_integer():
-            raise DataError(f"{where}: count column requires integer >= 0, got {field!r}")
-    elif col.is_nominal:
-        if not float(value).is_integer() or not (0 <= value < col.cardinality):
-            raise DataError(
-                f"{where}: class index must be an integer in 0..{col.cardinality - 1}, "
-                f"got {field!r}"
-            )
+    kind = col.kind_class
+    if kind.unsupported(value, col.cardinality):
+        requirement = kind.support.format(last=col.cardinality - 1)
+        raise DataError(f"{where}: {col.kind} column requires {requirement}, got {field!r}")
     return value
 
 
@@ -438,23 +403,18 @@ def load_dataset(data_file, types_file, mask_file=None) -> tuple[HeterogeneousTa
     return HeterogeneousTable(schema, values), MissingMask(observed)
 
 
-def format_cell(value: float, col: ColumnSpec) -> str:
-    if col.is_numeric and col.kind != "count":
-        return repr(float(value))
-    return str(int(value))
-
-
 def write_table(table: HeterogeneousTable, path, mask: MissingMask | None = None) -> None:
     """Write a table in the input CSV dialect; masked cells become empty fields."""
+    formats = [col.kind_class.format_cell for col in table.schema.columns]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         for n in range(table.n_rows):
             row = []
-            for d, col in enumerate(table.schema.columns):
+            for d, format_cell in enumerate(formats):
                 if mask is not None and not mask.observed[n, d]:
                     row.append("")
                 else:
-                    row.append(format_cell(table.cells[n, d], col))
+                    row.append(format_cell(table.cells[n, d]))
             w.writerow(row)
 
 

@@ -38,12 +38,6 @@ from .tabular import (
 MODEL_FORMAT = "hivae-model"
 MODEL_VERSION = 1
 
-# Neutral stand-ins for missing cells inside vectorized likelihoods; the
-# resulting terms are multiplied by zero, the stand-in only keeps the math
-# finite whatever junk the missing cell holds.
-_SAFE_VALUE = {"real": 0.0, "pos": 1.0, "count": 0.0, "cat": 0.0, "ordinal": 0.0}
-
-
 class TrainingError(RuntimeError):
     """Non-finite loss; carries the epoch/batch where optimization failed."""
 
@@ -158,9 +152,8 @@ def categorical_kl(s_logits: C.Tensor) -> C.Tensor:
 
 
 def _safe_column(table: HeterogeneousTable, mask: MissingMask, rows, d: int) -> np.ndarray:
-    col = table.schema.columns[d]
     vals = table.cells[rows, d].copy()
-    vals[~mask.observed[rows, d]] = _SAFE_VALUE[col.kind]
+    vals[~mask.observed[rows, d]] = table.schema.columns[d].kind_class.safe_value
     return vals
 
 

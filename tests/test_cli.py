@@ -202,6 +202,17 @@ class TestEvaluate:
 
 
 class TestBenchmark:
+    def test_incomplete_data_file_exits_2(self, tmp_path):
+        # an empty field would otherwise be scored as the 0.0 sentinel
+        types = tmp_path / "t.csv"
+        types.write_text("x,real\np,pos\n")
+        holey = tmp_path / "holey.csv"
+        holey.write_text("1.0,2.0\n3.0,\n2.0,1.5\n")
+        code = main(["benchmark", "--data", str(holey), "--types", str(types),
+                     "--fractions", "0.2", "--repeats", "1", "--methods", "mean_mode",
+                     "--out", str(tmp_path / "b.json")])
+        assert code == 2
+
     def test_synthetic_grid(self, tmp_path):
         out = str(tmp_path / "bench.json")
         code = main(["benchmark", "--synthetic", "--rows", "50",
