@@ -16,7 +16,8 @@ import numpy as np
 
 from . import generative as G
 from . import recognition as R
-from .tabular import HeterogeneousTable, MissingMask, encode_inputs
+# encode_inputs is bound here so the benchmark tracer wraps this lookup site
+from .tabular import HeterogeneousTable, MissingMask, encode_inputs  # noqa: F401
 from .training import ModelState, TrainConfig, require_schema, train
 
 
@@ -33,14 +34,6 @@ class FillRecord:
 class ImputationResult:
     completed: HeterogeneousTable
     fills: tuple[FillRecord, ...]
-
-
-def _posterior_params(model: ModelState, table, mask) -> R.RecognitionParams:
-    rows = range(table.n_rows)
-    if model.config.encoder_mode == R.FACTORIZED:
-        return R.encode_factorized(model.encoder, table, mask, model.stats, rows)
-    batch = encode_inputs(table, mask, model.stats, rows)
-    return R.encode(model.encoder, batch)
 
 
 def _fill(table, mask, per_column_values, method, liks) -> ImputationResult:
@@ -68,7 +61,7 @@ def impute_map(model: ModelState, table: HeterogeneousTable, mask: MissingMask) 
     """Deterministic imputation: distribution modes at the MAP latent point."""
     require_schema(model, table)
     mask.check_shape(table)
-    params = _posterior_params(model, table, mask)
+    params = R.posterior(model.encoder, table, mask, model.stats, range(table.n_rows))
     latent = R.map_latent(params)
     liks = G.decode(model.generative, latent, model.stats)
     values = [G.mode(lik) for lik in liks]
@@ -81,7 +74,7 @@ def impute_sample(
     """Stochastic imputation: one posterior draw, one draw per missing cell."""
     require_schema(model, table)
     mask.check_shape(table)
-    params = _posterior_params(model, table, mask)
+    params = R.posterior(model.encoder, table, mask, model.stats, range(table.n_rows))
     latent = R.sample_latent(params, model.config.tau_end, rng)
     liks = G.decode(model.generative, latent, model.stats)
     values = [G.sample(lik, rng) for lik in liks]

@@ -106,27 +106,24 @@ def z_params(nets: EncoderNets, x_tilde: C.Tensor, s: C.Tensor) -> tuple[C.Tenso
 class RecognitionParams:
     """Posterior parameters for a batch of rows.
 
-    z_mu / z_log_var are conditioned on s_cond; conditioner re-evaluates them
-    for a different s (the factorized posterior ignores s, so there it just
-    returns the fused moments).
+    s_logits parameterize q(s | x); conditioner maps a chosen s to the moments
+    of q(z | x, s), running the z-net only when called (the factorized
+    posterior ignores s, so there it just returns the fused moments).
     """
 
     s_logits: C.Tensor  # (B, L)
-    z_mu: C.Tensor  # (B, K)
-    z_log_var: C.Tensor  # (B, K)
-    s_cond: C.Tensor  # (B, L)
     conditioner: Callable[[C.Tensor], tuple[C.Tensor, C.Tensor]]
-
-    @property
-    def n_rows(self) -> int:
-        return self.s_logits.values.shape[0]
 
 
 @dataclass
 class LatentSample:
+    """A latent draw and the z-moments it was conditioned on."""
+
     s_soft: C.Tensor  # (B, L) on the simplex
     z: C.Tensor  # (B, K)
     tau: float
+    z_mu: C.Tensor | None = None  # (B, K)
+    z_log_var: C.Tensor | None = None  # (B, K)
 
 
 def hard_assignment(s_logits_values: np.ndarray) -> np.ndarray:
@@ -137,26 +134,35 @@ def hard_assignment(s_logits_values: np.ndarray) -> np.ndarray:
     return out
 
 
-def encode(nets: EncoderNets, x_tilde, s: C.Tensor | None = None) -> RecognitionParams:
+def encode(nets: EncoderNets, x_tilde) -> RecognitionParams:
     """Run the input-dropout encoder on encoded rows.
 
-    If no s is supplied the z-moments are conditioned on the hard argmax
-    assignment, which is the deterministic (imputation-time) choice; training
-    re-conditions on a soft sample via sample_latent.
+    Only the mixture logits are computed here; the z-net runs when a caller
+    conditions on a chosen s (sample_latent, map_latent).
     """
     if isinstance(x_tilde, EncodedBatch):
         x_tilde = C.constant(x_tilde.values)
     elif not isinstance(x_tilde, C.Tensor):
         x_tilde = C.constant(np.atleast_2d(np.asarray(x_tilde, dtype=np.float64)))
     logits = s_logits(nets, x_tilde)
-    if s is None:
-        s = C.constant(hard_assignment(logits.values))
-    mu, log_var = z_params(nets, x_tilde, s)
 
     def conditioner(s_new: C.Tensor) -> tuple[C.Tensor, C.Tensor]:
         return z_params(nets, x_tilde, s_new)
 
-    return RecognitionParams(logits, mu, log_var, s, conditioner)
+    return RecognitionParams(logits, conditioner)
+
+
+def posterior(
+    nets: EncoderNets,
+    table: HeterogeneousTable,
+    mask: MissingMask,
+    stats: NormalizationStats,
+    rows,
+) -> RecognitionParams:
+    """The posterior over the given rows, from whichever encoder nets were built."""
+    if nets.mode == FACTORIZED:
+        return encode_factorized(nets, table, mask, stats, rows)
+    return encode(nets, encode_inputs(table, mask, stats, rows))
 
 
 def sample_latent(params: RecognitionParams, tau: float, rng) -> LatentSample:
@@ -164,14 +170,14 @@ def sample_latent(params: RecognitionParams, tau: float, rng) -> LatentSample:
     s_soft = C.sample_gumbel_softmax(params.s_logits, tau, rng)
     mu, log_var = params.conditioner(s_soft)
     z = C.sample_gaussian_reparam(mu, log_var, rng)
-    return LatentSample(s_soft, z, tau)
+    return LatentSample(s_soft, z, tau, mu, log_var)
 
 
 def map_latent(params: RecognitionParams) -> LatentSample:
     """Deterministic MAP point: hard argmax s, posterior mean z under it."""
     s_hard = C.constant(hard_assignment(params.s_logits.values))
-    mu, _ = params.conditioner(s_hard)
-    return LatentSample(s_hard, mu, 0.0)
+    mu, log_var = params.conditioner(s_hard)
+    return LatentSample(s_hard, mu, 0.0, mu, log_var)
 
 
 def encode_factorized(
@@ -207,9 +213,8 @@ def encode_factorized(
     z_mu = weighted_mu_acc / precision_acc
     z_log_var = -C.log(precision_acc)
     logits = C.constant(np.zeros((B, 1)))
-    s_cond = C.constant(np.ones((B, 1)))
 
     def conditioner(_s_new: C.Tensor) -> tuple[C.Tensor, C.Tensor]:
         return z_mu, z_log_var
 
-    return RecognitionParams(logits, z_mu, z_log_var, s_cond, conditioner)
+    return RecognitionParams(logits, conditioner)

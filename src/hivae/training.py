@@ -30,7 +30,7 @@ from .tabular import (
     MissingMask,
     NormalizationStats,
     Schema,
-    encode_inputs,
+    encode_inputs,  # noqa: F401  (bound here so the benchmark tracer wraps this lookup site)
     fit_normalization,
     identity_stats,
 )
@@ -157,13 +157,6 @@ def _safe_column(table: HeterogeneousTable, mask: MissingMask, rows, d: int) -> 
     return vals
 
 
-def _posterior(state: ModelState, table, mask, rows, stats) -> R.RecognitionParams:
-    if state.config.encoder_mode == R.FACTORIZED:
-        return R.encode_factorized(state.encoder, table, mask, stats, rows)
-    batch = encode_inputs(table, mask, stats, rows)
-    return R.encode(state.encoder, batch)
-
-
 def _batch_stats(state: ModelState, table, mask, rows) -> NormalizationStats:
     if state.config.normalization:
         return fit_normalization(table, mask, rows)
@@ -190,12 +183,8 @@ def elbo_batch(
     if rows.size == 0:
         raise ValueError("rows must be nonempty")
     stats = _batch_stats(state, table, mask, rows)
-    params = _posterior(state, table, mask, rows, stats)
-
-    s_soft = C.sample_gumbel_softmax(params.s_logits, tau, rng)
-    mu_q, log_var_q = params.conditioner(s_soft)
-    z = C.sample_gaussian_reparam(mu_q, log_var_q, rng)
-    latent = R.LatentSample(s_soft, z, tau)
+    params = R.posterior(state.encoder, table, mask, stats, rows)
+    latent = R.sample_latent(params, tau, rng)
 
     recon = C.constant(0.0)
     for d, lik in enumerate(G.decode(state.generative, latent, stats)):
@@ -217,8 +206,8 @@ def elbo_batch(
             mu_p = C.matmul(e, state.generative.prior_mu_table)
             kl_z = kl_z + C.tsum(C.narrow(pi, comp, 1) * gaussian_kl(mu_c, lv_c, mu_p))
     else:
-        mu_p = C.matmul(s_soft, state.generative.prior_mu_table)
-        kl_z = C.tsum(gaussian_kl(mu_q, log_var_q, mu_p))
+        mu_p = C.matmul(latent.s_soft, state.generative.prior_mu_table)
+        kl_z = C.tsum(gaussian_kl(latent.z_mu, latent.z_log_var, mu_p))
 
     kl_s = C.tsum(categorical_kl(params.s_logits))
     return recon - kl_z - kl_s
@@ -325,6 +314,10 @@ def load_model(path) -> ModelState:
                 for st in doc["stats"]
             )
         )
+        if len(stats.per_column) != len(schema) or any(
+            (st is None) != col.is_nominal for st, col in zip(stats.per_column, schema.columns)
+        ):
+            raise ModelFormatError(f"{path}: corrupt model file (stats do not match schema)")
         state = build_model(schema, config, np.random.default_rng(0))
         state.stats = stats
         state.training_log = [(int(e), float(t), float(v)) for e, t, v in doc["training_log"]]

@@ -179,7 +179,7 @@ class TestCriterion2ObservedOnly:
             return (
                 float(elbo.values),
                 params.s_logits.values.copy(),
-                params.z_mu.values.copy(),
+                R.map_latent(params).z_mu.values.copy(),
                 imputed.completed.cells[~mask.observed].copy(),
             )
 
@@ -282,25 +282,25 @@ class TestCriterion5FactorizedOracle:
                 stack[0].bias.values[k:] = log_vars[d]
             observed = rng.random((1, n_cols)) > 0.4
             table = HeterogeneousTable(schema, np.zeros((1, n_cols)))
-            params = R.encode_factorized(
+            mp = R.map_latent(R.encode_factorized(
                 nets, table, MissingMask(observed), identity_stats(schema), [0]
-            )
+            ))
             sel = observed[0]
             prec = 1.0 + np.exp(-log_vars[sel]).sum(axis=0)
             mean = (mus[sel] * np.exp(-log_vars[sel])).sum(axis=0) / prec
-            worst = max(worst, float(np.abs(params.z_mu.values[0] - mean).max()))
+            worst = max(worst, float(np.abs(mp.z_mu.values[0] - mean).max()))
             worst = max(
-                worst, float(np.abs(np.exp(params.z_log_var.values[0]) - 1.0 / prec).max())
+                worst, float(np.abs(np.exp(mp.z_log_var.values[0]) - 1.0 / prec).max())
             )
         # empty observation set returns the prior
         schema = Schema((ColumnSpec("r", "real"),))
         nets = R.build_encoder(schema, 1, 3, 1, R.FACTORIZED, np.random.default_rng(0))
         table = HeterogeneousTable(schema, np.zeros((2, 1)))
-        params = R.encode_factorized(
+        mp = R.map_latent(R.encode_factorized(
             nets, table, MissingMask(np.zeros((2, 1), dtype=bool)), identity_stats(schema), [0, 1]
-        )
-        prior_ok = np.allclose(params.z_mu.values, 0.0, atol=1e-15) and np.allclose(
-            np.exp(params.z_log_var.values), 1.0, atol=1e-15
+        ))
+        prior_ok = np.allclose(mp.z_mu.values, 0.0, atol=1e-15) and np.allclose(
+            np.exp(mp.z_log_var.values), 1.0, atol=1e-15
         )
         report(5, "factorized-encoder oracle", worst < 1e-10 and prior_ok, f"max dev {worst:.2e}")
 

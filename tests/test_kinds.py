@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hivae import generative as G
 from hivae import recognition as R
 from hivae import training as T
+from hivae.imputation import impute_map
 from hivae.kinds import KINDS
 from hivae.tabular import (
     ColumnSpec,
@@ -95,3 +96,23 @@ def test_decode_gives_each_column_its_kind_class(data):
         assert type(lik) is KINDS[col.kind]
         ll = G.log_likelihood(lik, table.cells[:, d]).values[mask.observed[:, d]]
         assert np.all(np.isfinite(ll))
+
+
+@given(datasets())
+@settings(max_examples=15, deadline=None)
+def test_trained_model_imputes_in_support_and_survives_a_round_trip(tmp_path_factory, data):
+    table, _, mask, seed = data
+    config = T.TrainConfig(dim_z=2, dim_s=3, dim_y=2, epochs=1, batch_size=20, seed=seed)
+    model = T.train(table, mask, config)
+    result = impute_map(model, table, mask)
+    cells = result.completed.cells
+    assert np.array_equal(cells[mask.observed], table.cells[mask.observed])
+    for d, col in enumerate(table.schema.columns):
+        filled = cells[~mask.observed[:, d], d]
+        assert np.all(np.isfinite(filled))
+        assert not np.any(col.kind_class.unsupported(filled, col.cardinality))
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    T.save_model(model, path)
+    again = impute_map(T.load_model(path), table, mask)
+    assert np.array_equal(again.completed.cells, cells)
+    assert again.fills == result.fills

@@ -30,8 +30,9 @@ class TestEncode:
         nets = small_nets()
         zeros = np.zeros((2, 4))
         params = R.encode(nets, zeros)
+        z_mu = R.map_latent(params).z_mu
         assert np.array_equal(params.s_logits.values[0], params.s_logits.values[1])
-        assert np.array_equal(params.z_mu.values[0], params.z_mu.values[1])
+        assert np.array_equal(z_mu.values[0], z_mu.values[1])
         assert np.array_equal(params.s_logits.values[0], nets.s_layers[0].bias.values)
 
     def test_zero_weight_s_net_gives_softmax_of_bias(self):
@@ -58,7 +59,7 @@ class TestEncode:
             mp = R.map_latent(params)
             return (
                 params.s_logits.values,
-                params.z_mu.values,
+                mp.z_mu.values,
                 sample.s_soft.values,
                 sample.z.values,
                 mp.z.values,
@@ -155,8 +156,9 @@ class TestFactorized:
         table = HeterogeneousTable(schema, np.zeros((3, 2)))
         mask = MissingMask(np.zeros((3, 2), dtype=bool))
         params = R.encode_factorized(nets, table, mask, identity_stats(schema), range(3))
-        assert np.allclose(params.z_mu.values, 0.0)
-        assert np.allclose(np.exp(params.z_log_var.values), 1.0)
+        mp = R.map_latent(params)
+        assert np.allclose(mp.z_mu.values, 0.0)
+        assert np.allclose(np.exp(mp.z_log_var.values), 1.0)
 
     def test_single_unit_variance_attribute_halves(self):
         schema, nets = factorized_setup(n_cols=1)
@@ -167,9 +169,9 @@ class TestFactorized:
             stack[0].bias.values[3:] = 0.0  # log var 0 -> unit variance
         table = HeterogeneousTable(schema, np.zeros((1, 1)))
         mask = MissingMask(np.ones((1, 1), dtype=bool))
-        params = R.encode_factorized(nets, table, mask, identity_stats(schema), [0])
-        assert np.allclose(np.exp(params.z_log_var.values), 0.5)
-        assert np.allclose(params.z_mu.values, mu_d / 2.0)
+        mp = R.map_latent(R.encode_factorized(nets, table, mask, identity_stats(schema), [0]))
+        assert np.allclose(np.exp(mp.z_log_var.values), 0.5)
+        assert np.allclose(mp.z_mu.values, mu_d / 2.0)
 
     def test_matches_product_of_gaussians_oracle(self):
         schema, nets = factorized_setup(n_cols=2, dim_z=3, seed=5)
@@ -182,13 +184,13 @@ class TestFactorized:
             stack[0].bias.values[3:] = log_vars[d]
         table = HeterogeneousTable(schema, np.zeros((1, 2)))
         mask = MissingMask(np.ones((1, 2), dtype=bool))
-        params = R.encode_factorized(nets, table, mask, identity_stats(schema), [0])
+        mp = R.map_latent(R.encode_factorized(nets, table, mask, identity_stats(schema), [0]))
 
         # direct diagonal product-of-Gaussians computation
         prec = 1.0 + np.sum(np.exp(-log_vars), axis=0)
         mean = (np.sum(mus * np.exp(-log_vars), axis=0)) / prec
-        assert np.allclose(params.z_mu.values[0], mean, atol=1e-10)
-        assert np.allclose(np.exp(params.z_log_var.values[0]), 1.0 / prec, atol=1e-10)
+        assert np.allclose(mp.z_mu.values[0], mean, atol=1e-10)
+        assert np.allclose(np.exp(mp.z_log_var.values[0]), 1.0 / prec, atol=1e-10)
 
     def test_precision_monotone_in_observations(self):
         schema, nets = factorized_setup(n_cols=4, dim_z=2, seed=3)
@@ -200,7 +202,7 @@ class TestFactorized:
             params = R.encode_factorized(
                 nets, table, MissingMask(observed), identity_stats(schema), [0]
             )
-            prec = np.exp(-params.z_log_var.values[0])
+            prec = np.exp(-R.map_latent(params).z_log_var.values[0])
             assert np.all(prec >= prev - 1e-12)
             prev = prec
 
@@ -212,7 +214,8 @@ class TestFactorized:
 
         def scalar():
             params = R.encode_factorized(nets, table, mask, identity_stats(schema), range(3))
-            return C.tsum(params.z_mu * params.z_mu) + C.tsum(C.exp(params.z_log_var))
+            mp = R.map_latent(params)
+            return C.tsum(mp.z_mu * mp.z_mu) + C.tsum(C.exp(mp.z_log_var))
 
         loss = scalar()
         C.backward(loss)

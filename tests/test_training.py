@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from hivae import benchmark as B
 from hivae import compute as C
+from hivae import recognition as R
 from hivae import training as T
 from hivae.imputation import impute_map
 from hivae.tabular import ColumnSpec, HeterogeneousTable, MissingMask, Schema
@@ -126,6 +127,23 @@ class TestElboBatch:
                 np.random.default_rng(9),
                 exact_s_kl=True,
             )
+
+    def test_one_z_net_forward_per_elbo_and_per_map_imputation(self, small_synthetic, monkeypatch):
+        table, mask = small_synthetic
+        config = T.TrainConfig(dim_z=2, dim_s=3, dim_y=2, epochs=1, batch_size=20, seed=0)
+        state = T.build_model(table.schema, config, np.random.default_rng(0))
+        calls = []
+        z_params = R.z_params
+
+        def counted(*args):
+            calls.append(args)
+            return z_params(*args)
+
+        monkeypatch.setattr(R, "z_params", counted)
+        T.elbo_batch(state, table, mask, range(20), 0.5, np.random.default_rng(1))
+        assert len(calls) == 1
+        impute_map(state, table, mask)
+        assert len(calls) == 2
 
 
 class TestKLOracles:
@@ -290,6 +308,24 @@ class TestPersistence:
         path = tmp_path / "model.json"
         T.save_model(state, path)
         path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        with pytest.raises(T.ModelFormatError, match="corrupt"):
+            T.load_model(path)
+
+    @pytest.mark.parametrize("corruption", ["truncated", "swapped"])
+    def test_stats_not_matching_schema_are_corrupt(self, small_synthetic, tmp_path, corruption):
+        table, mask = small_synthetic
+        config = T.TrainConfig(dim_z=2, dim_s=2, dim_y=2, epochs=1, batch_size=20, seed=0)
+        state = T.train(table, mask, config)
+        path = tmp_path / "model.json"
+        T.save_model(state, path)
+        doc = json.loads(path.read_text())
+        stats = doc["stats"]
+        if corruption == "truncated":
+            del stats[3:]
+        else:  # a numeric column's stats traded with a nominal column's null
+            nominal = stats.index(None)
+            stats[0], stats[nominal] = stats[nominal], stats[0]
+        path.write_text(json.dumps(doc))
         with pytest.raises(T.ModelFormatError, match="corrupt"):
             T.load_model(path)
 
