@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .imputation import FillRecord, ImputationResult, impute_map, impute_sample
+from .imputation import ImputationResult, impute_map, impute_sample
 from .tabular import DataError, HeterogeneousTable, MissingMask, Schema, ColumnSpec
 from .training import TrainConfig, train
 
@@ -84,21 +84,20 @@ def mean_mode_impute(table: HeterogeneousTable, mask: MissingMask) -> Imputation
     """Baseline: observed mean for numeric columns (counts rounded half-up),
     observed modal class for nominal columns (ties to the lowest index)."""
     mask.check_shape(table)
-    completed = table.cells.copy()
-    fills = []
+    missing = ~mask.observed
+    fills, params = [], []
     for d, col in enumerate(table.schema.columns):
-        obs = mask.observed[:, d]
-        vals = table.cells[obs, d]
+        vals = table.cells[mask.observed[:, d], d]
         if vals.size == 0:
             raise DataError(f"column {col.name!r} has no observed cells")
         fill, stat = col.kind_class.baseline(vals, col.cardinality)
-        missing = np.flatnonzero(~obs)
-        completed[missing, d] = fill
-        fills.extend(
-            FillRecord(int(n), d, "mean_mode", fill, {"kind": col.kind, "statistic": stat})
-            for n in missing
-        )
-    return ImputationResult(HeterogeneousTable(table.schema, completed), tuple(fills))
+        fills.append(fill)
+        params.append([{"kind": col.kind, "statistic": stat}] * int(missing[:, d].sum()))
+    completed = np.where(missing, np.array(fills), table.cells)
+    rows = tuple(np.flatnonzero(column) for column in missing.T)
+    return ImputationResult(
+        HeterogeneousTable(table.schema, completed), "mean_mode", rows, tuple(params)
+    )
 
 
 @dataclass(frozen=True)

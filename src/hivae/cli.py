@@ -158,10 +158,11 @@ def cmd_impute(args) -> int:
         result = I.impute_sample(model, table, mask, np.random.default_rng(seed))
     write_table(result.completed, args.out)
     sidecar = args.out + ".fills.json"
+    records = result.records()
     with open(sidecar, "w") as fh:
-        json.dump([asdict(f) for f in result.fills], fh, sort_keys=True)
+        json.dump(records, fh, sort_keys=True)
         fh.write("\n")
-    print(f"{len(result.fills)} cells filled; sidecar {sidecar}", file=sys.stderr)
+    print(f"{len(records)} cells filled; sidecar {sidecar}", file=sys.stderr)
     return 0
 
 

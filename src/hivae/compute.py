@@ -96,157 +96,138 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def _node(values, parents, backward) -> Tensor:
+    """An op's output; backward(grad) pushes the output's grad to the parents.
+
+    The closure holds the parents, never the output, so a dropped graph is
+    freed by reference counting without waiting for the cyclic collector.
+    """
     return Tensor(values, requires_grad=False, _parents=parents, _backward=backward)
 
 
 def add(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
-    out = _node(a.values + b.values, (a, b), None)
 
-    def back():
-        a.grad += _unbroadcast(out.grad, a.values.shape)
-        b.grad += _unbroadcast(out.grad, b.values.shape)
+    def back(grad):
+        a.grad += _unbroadcast(grad, a.values.shape)
+        b.grad += _unbroadcast(grad, b.values.shape)
 
-    out._backward = back
-    return out
+    return _node(a.values + b.values, (a, b), back)
 
 
 def sub(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
-    out = _node(a.values - b.values, (a, b), None)
 
-    def back():
-        a.grad += _unbroadcast(out.grad, a.values.shape)
-        b.grad -= _unbroadcast(out.grad, b.values.shape)
+    def back(grad):
+        a.grad += _unbroadcast(grad, a.values.shape)
+        b.grad -= _unbroadcast(grad, b.values.shape)
 
-    out._backward = back
-    return out
+    return _node(a.values - b.values, (a, b), back)
 
 
 def mul(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
-    out = _node(a.values * b.values, (a, b), None)
 
-    def back():
-        a.grad += _unbroadcast(out.grad * b.values, a.values.shape)
-        b.grad += _unbroadcast(out.grad * a.values, b.values.shape)
+    def back(grad):
+        a.grad += _unbroadcast(grad * b.values, a.values.shape)
+        b.grad += _unbroadcast(grad * a.values, b.values.shape)
 
-    out._backward = back
-    return out
+    return _node(a.values * b.values, (a, b), back)
 
 
 def div(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
-    out = _node(a.values / b.values, (a, b), None)
 
-    def back():
-        a.grad += _unbroadcast(out.grad / b.values, a.values.shape)
-        b.grad += _unbroadcast(-out.grad * a.values / (b.values * b.values), b.values.shape)
+    def back(grad):
+        a.grad += _unbroadcast(grad / b.values, a.values.shape)
+        b.grad += _unbroadcast(-grad * a.values / (b.values * b.values), b.values.shape)
 
-    out._backward = back
-    return out
+    return _node(a.values / b.values, (a, b), back)
 
 
 def matmul(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
     if a.values.ndim != 2 or b.values.ndim != 2 or a.values.shape[1] != b.values.shape[0]:
         raise ValueError(f"matmul shape mismatch: {a.values.shape} @ {b.values.shape}")
-    out = _node(a.values @ b.values, (a, b), None)
 
-    def back():
-        a.grad += out.grad @ b.values.T
-        b.grad += a.values.T @ out.grad
+    def back(grad):
+        a.grad += grad @ b.values.T
+        b.grad += a.values.T @ grad
 
-    out._backward = back
-    return out
+    return _node(a.values @ b.values, (a, b), back)
 
 
 def tsum(a, axis=None, keepdims=False) -> Tensor:
     a = _lift(a)
-    out = _node(a.values.sum(axis=axis, keepdims=keepdims), (a,), None)
 
-    def back():
-        g = out.grad
+    def back(grad):
         if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        a.grad += np.broadcast_to(g, a.values.shape)
+            grad = np.expand_dims(grad, axis)
+        a.grad += np.broadcast_to(grad, a.values.shape)
 
-    out._backward = back
-    return out
+    return _node(a.values.sum(axis=axis, keepdims=keepdims), (a,), back)
 
 
 def exp(a) -> Tensor:
     a = _lift(a)
-    out = _node(np.exp(a.values), (a,), None)
+    e = np.exp(a.values)
 
-    def back():
-        a.grad += out.grad * out.values
+    def back(grad):
+        a.grad += grad * e
 
-    out._backward = back
-    return out
+    return _node(e, (a,), back)
 
 
 def log(a) -> Tensor:
     a = _lift(a)
-    out = _node(np.log(a.values), (a,), None)
 
-    def back():
-        a.grad += out.grad / a.values
+    def back(grad):
+        a.grad += grad / a.values
 
-    out._backward = back
-    return out
+    return _node(np.log(a.values), (a,), back)
 
 
 def softplus(a) -> Tensor:
     """log(1 + e^x), computed stably for large |x|."""
     a = _lift(a)
-    out = _node(np.logaddexp(0.0, a.values), (a,), None)
 
-    def back():
-        a.grad += out.grad * expit(a.values)
+    def back(grad):
+        a.grad += grad * expit(a.values)
 
-    out._backward = back
-    return out
+    return _node(np.logaddexp(0.0, a.values), (a,), back)
 
 
 def sigmoid(a) -> Tensor:
     a = _lift(a)
     s = expit(a.values)
-    out = _node(s, (a,), None)
 
-    def back():
-        a.grad += out.grad * s * (1.0 - s)
+    def back(grad):
+        a.grad += grad * s * (1.0 - s)
 
-    out._backward = back
-    return out
+    return _node(s, (a,), back)
 
 
 def relu(a) -> Tensor:
     a = _lift(a)
-    out = _node(np.maximum(a.values, 0.0), (a,), None)
 
-    def back():
-        a.grad += out.grad * (a.values > 0.0)
+    def back(grad):
+        a.grad += grad * (a.values > 0.0)
 
-    out._backward = back
-    return out
+    return _node(np.maximum(a.values, 0.0), (a,), back)
 
 
 def clip(a, lo=None, hi=None) -> Tensor:
     """Hard clamp; gradient passes only where the input is strictly inside."""
     a = _lift(a)
-    out = _node(np.clip(a.values, lo, hi), (a,), None)
 
-    def back():
+    def back(grad):
         inside = np.ones_like(a.values, dtype=bool)
         if lo is not None:
             inside &= a.values >= lo
         if hi is not None:
             inside &= a.values <= hi
-        a.grad += out.grad * inside
+        a.grad += grad * inside
 
-    out._backward = back
-    return out
+    return _node(np.clip(a.values, lo, hi), (a,), back)
 
 
 def clip_min(a, lo) -> Tensor:
@@ -255,18 +236,16 @@ def clip_min(a, lo) -> Tensor:
 
 def concat(parts, axis=1) -> Tensor:
     parts = [_lift(p) for p in parts]
-    out = _node(np.concatenate([p.values for p in parts], axis=axis), tuple(parts), None)
     sizes = [p.values.shape[axis] for p in parts]
     offsets = np.cumsum([0] + sizes)
 
-    def back():
+    def back(grad):
         for p, start, stop in zip(parts, offsets[:-1], offsets[1:]):
-            idx = [slice(None)] * out.grad.ndim
+            idx = [slice(None)] * grad.ndim
             idx[axis] = slice(start, stop)
-            p.grad += out.grad[tuple(idx)]
+            p.grad += grad[tuple(idx)]
 
-    out._backward = back
-    return out
+    return _node(np.concatenate([p.values for p in parts], axis=axis), tuple(parts), back)
 
 
 def narrow(a, start, width, axis=1) -> Tensor:
@@ -275,25 +254,21 @@ def narrow(a, start, width, axis=1) -> Tensor:
     idx = [slice(None)] * a.values.ndim
     idx[axis] = slice(start, start + width)
     idx = tuple(idx)
-    out = _node(a.values[idx], (a,), None)
 
-    def back():
-        a.grad[idx] += out.grad
+    def back(grad):
+        a.grad[idx] += grad
 
-    out._backward = back
-    return out
+    return _node(a.values[idx], (a,), back)
 
 
 def cumsum(a, axis=1) -> Tensor:
     a = _lift(a)
-    out = _node(np.cumsum(a.values, axis=axis), (a,), None)
 
-    def back():
-        flipped = np.flip(out.grad, axis=axis)
+    def back(grad):
+        flipped = np.flip(grad, axis=axis)
         a.grad += np.flip(np.cumsum(flipped, axis=axis), axis=axis)
 
-    out._backward = back
-    return out
+    return _node(np.cumsum(a.values, axis=axis), (a,), back)
 
 
 def softmax(a, axis=-1) -> Tensor:
@@ -339,7 +314,7 @@ def backward(loss: Tensor) -> None:
     loss.grad[...] += 1.0
     for node in reversed(topo):
         if node._backward is not None:
-            node._backward()
+            node._backward(node.grad)
 
 
 def zero_grads(params) -> None:

@@ -129,6 +129,6 @@ def sample(params: LikelihoodParams, rng) -> np.ndarray:
     return params.sample(rng)
 
 
-def params_summary(params: LikelihoodParams, row: int) -> dict:
-    """JSON-friendly snapshot of one row's distribution parameters."""
-    return params.summary(row)
+def params_summary(params: LikelihoodParams, rows: np.ndarray) -> list[dict]:
+    """JSON-friendly snapshot of each given row's distribution parameters."""
+    return params.summary(rows)

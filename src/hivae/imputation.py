@@ -22,39 +22,31 @@ from .training import ModelState, TrainConfig, require_schema, train
 
 
 @dataclass(frozen=True)
-class FillRecord:
-    row: int
-    col: int
-    method: str  # "map_mode" | "sample"
-    value: float
-    params: dict
-
-
-@dataclass(frozen=True)
 class ImputationResult:
+    """The completed table and, per column d, the filled rows (ascending) and
+    one decoded-distribution summary per filled row."""
+
     completed: HeterogeneousTable
-    fills: tuple[FillRecord, ...]
+    method: str  # "map_mode" | "sample" | "mean_mode"
+    rows: tuple[np.ndarray, ...]
+    params: tuple[list[dict], ...]
+
+    def records(self) -> list[dict]:
+        """The sidecar: one record per filled cell, column by column, rows ascending."""
+        cells = self.completed.cells
+        return [
+            {"row": n, "col": d, "method": self.method, "value": value, "params": params}
+            for d, (rows, summaries) in enumerate(zip(self.rows, self.params))
+            for n, value, params in zip(rows.tolist(), cells[rows, d].tolist(), summaries)
+        ]
 
 
 def _fill(table, mask, per_column_values, method, liks) -> ImputationResult:
-    completed = table.cells.copy()
-    fills = []
-    for d in range(table.n_cols):
-        missing = ~mask.observed[:, d]
-        if not missing.any():
-            continue
-        completed[missing, d] = per_column_values[d][missing]
-        for n in np.flatnonzero(missing):
-            fills.append(
-                FillRecord(
-                    row=int(n),
-                    col=int(d),
-                    method=method,
-                    value=float(completed[n, d]),
-                    params=G.params_summary(liks[d], int(n)),
-                )
-            )
-    return ImputationResult(HeterogeneousTable(table.schema, completed), tuple(fills))
+    missing = ~mask.observed
+    completed = np.where(missing, np.column_stack(per_column_values), table.cells)
+    rows = tuple(np.flatnonzero(column) for column in missing.T)
+    params = tuple(G.params_summary(lik, r) for lik, r in zip(liks, rows))
+    return ImputationResult(HeterogeneousTable(table.schema, completed), method, rows, params)
 
 
 def impute_map(model: ModelState, table: HeterogeneousTable, mask: MissingMask) -> ImputationResult:

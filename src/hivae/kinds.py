@@ -94,10 +94,10 @@ class NormalParams(_Kind):
         mu, var = self.mu.values[:, 0], self.var.values[:, 0]
         return mu + np.sqrt(var) * rng.standard_normal(mu.shape)
 
-    def summary(self, row: int) -> dict:
+    def summary(self, rows: np.ndarray) -> list[dict]:
         mean_key, var_key = self.summary_keys
-        mu, var = float(self.mu.values[row, 0]), float(self.var.values[row, 0])
-        return {"kind": self.kind, mean_key: mu, var_key: var}
+        mus, variances = self.mu.values[rows, 0].tolist(), self.var.values[rows, 0].tolist()
+        return [{"kind": self.kind, mean_key: mu, var_key: var} for mu, var in zip(mus, variances)]
 
 
 @dataclass(frozen=True)
@@ -154,8 +154,8 @@ class PoissonParams(_Kind):
     def sample(self, rng) -> np.ndarray:
         return rng.poisson(self.rate.values[:, 0]).astype(np.float64)
 
-    def summary(self, row: int) -> dict:
-        return {"kind": self.kind, "rate": float(self.rate.values[row, 0])}
+    def summary(self, rows: np.ndarray) -> list[dict]:
+        return [{"kind": self.kind, "rate": rate} for rate in self.rate.values[rows, 0].tolist()]
 
 
 @dataclass(frozen=True)
@@ -203,8 +203,8 @@ class CategoricalParams(_Kind):
         idx = (u[:, None] > cdf).sum(axis=1)
         return np.minimum(idx, probs.shape[1] - 1).astype(np.float64)
 
-    def summary(self, row: int) -> dict:
-        return {"kind": self.kind, "probs": [float(p) for p in self.probs.values[row]]}
+    def summary(self, rows: np.ndarray) -> list[dict]:
+        return [{"kind": self.kind, "probs": probs} for probs in self.probs.values[rows].tolist()]
 
 
 @dataclass(frozen=True)
@@ -227,10 +227,12 @@ class OrdinalParams(CategoricalParams):
         probs = C.concat([cdf, ones]) - C.concat([zeros, cdf])
         return cls(probs, thresholds, loc)
 
-    def summary(self, row: int) -> dict:
-        thresholds = [float(t) for t in self.thresholds.values[row]]
-        location = float(self.location.values[row, 0])
-        return {**super().summary(row), "thresholds": thresholds, "location": location}
+    def summary(self, rows: np.ndarray) -> list[dict]:
+        out = super().summary(rows)
+        locations = self.location.values[rows, 0].tolist()
+        for rec, t, loc in zip(out, self.thresholds.values[rows].tolist(), locations):
+            rec.update(thresholds=t, location=loc)
+        return out
 
 
 LikelihoodParams = NormalParams | PoissonParams | CategoricalParams  # and their subclasses

@@ -24,6 +24,7 @@ from . import compute as C
 from . import generative as G
 from . import recognition as R
 from .tabular import (
+    SCALE_FLOOR,
     ColumnSpec,
     ColumnStats,
     HeterogeneousTable,
@@ -292,6 +293,20 @@ def save_model(state: ModelState, path) -> None:
         fh.write("\n")
 
 
+def _stats_fit(st: ColumnStats | None, col: ColumnSpec) -> bool:
+    """Whether save_model could have written these stats for this column: null
+    for a nominal column, else a finite shift, a finite scale of at least
+    SCALE_FLOOR and the kind's transform domain."""
+    if st is None:
+        return col.is_nominal
+    return (
+        not col.is_nominal
+        and math.isfinite(st.shift)
+        and SCALE_FLOOR <= st.scale < math.inf
+        and st.domain == col.kind_class.domain
+    )
+
+
 def load_model(path) -> ModelState:
     try:
         with open(path) as fh:
@@ -314,8 +329,8 @@ def load_model(path) -> ModelState:
                 for st in doc["stats"]
             )
         )
-        if len(stats.per_column) != len(schema) or any(
-            (st is None) != col.is_nominal for st, col in zip(stats.per_column, schema.columns)
+        if len(stats.per_column) != len(schema) or not all(
+            map(_stats_fit, stats.per_column, schema.columns)
         ):
             raise ModelFormatError(f"{path}: corrupt model file (stats do not match schema)")
         state = build_model(schema, config, np.random.default_rng(0))

@@ -130,6 +130,22 @@ class TestMeanModeImpute:
         assert np.allclose(r1, r2, rtol=1e-12, atol=1e-12)
 
 
+    def test_records_name_the_statistic_of_each_masked_cell(self, small_synthetic):
+        table, mask = small_synthetic
+        result = B.mean_mode_impute(table, mask)
+        assert result.method == "mean_mode"
+        records = result.records()
+        assert [(rec["col"], rec["row"]) for rec in records] == [
+            (d, n) for d in range(table.n_cols) for n in np.flatnonzero(~mask.observed[:, d])
+        ]
+        for rec in records:
+            col = table.schema.columns[rec["col"]]
+            statistic = "mode" if col.is_nominal else "mean"
+            assert rec["method"] == "mean_mode"
+            assert rec["value"] == result.completed.cells[rec["row"], rec["col"]]
+            assert rec["params"] == {"kind": col.kind, "statistic": statistic}
+
+
 class TestScoring:
     def test_avg_err_is_unweighted_column_mean(self, small_synthetic):
         table, mask = small_synthetic

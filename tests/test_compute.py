@@ -1,5 +1,6 @@
 """Autodiff engine: forward ops, gradient correctness, Adam, samplers."""
 
+import gc
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hivae import compute as C
+from hivae import training as T
 
 from conftest import StubRng, finite_difference, max_rel_err
 
@@ -81,6 +83,22 @@ class TestBackward:
         C.backward(loss)
         C.backward(loss)
         assert x.grad[0, 0] == pytest.approx(8.0)
+
+    def test_dropped_graph_leaves_no_cyclic_garbage(self, small_synthetic):
+        # an ELBO graph and its backward closures are freed by reference counting
+        table, mask = small_synthetic
+        config = T.TrainConfig(dim_z=3, dim_s=2, dim_y=2, epochs=1, batch_size=20, seed=0)
+        state = T.build_model(table.schema, config, np.random.default_rng(0))
+        rows = range(table.n_rows)
+        gc.collect()
+        gc.disable()
+        try:
+            elbo = T.elbo_batch(state, table, mask, rows, 0.5, np.random.default_rng(1))
+            C.backward(elbo)
+            del elbo
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_non_scalar_loss_rejected(self):
         x = C.parameter([[1.0, 2.0]])

@@ -22,17 +22,17 @@ class TestImputeMap:
         model = trained_small(table, full)
         result = impute_map(model, table, full)
         assert np.array_equal(result.completed.cells, table.cells)
-        assert result.fills == ()
+        assert result.records() == []
 
     def test_missing_categorical_gets_argmax(self, small_synthetic):
         table, mask = small_synthetic
         model = trained_small(table, mask)
         result = impute_map(model, table, mask)
         cat_cols = [d for d, c in enumerate(table.schema.columns) if c.kind == "cat"]
-        for rec in result.fills:
-            if rec.col in cat_cols:
-                probs = rec.params["probs"]
-                assert rec.value == float(np.argmax(probs))
+        for rec in result.records():
+            if rec["col"] in cat_cols:
+                probs = rec["params"]["probs"]
+                assert rec["value"] == float(np.argmax(probs))
 
     def test_bias_only_real_column_fills_global_shift(self):
         # zero weights, single component: decoded mean is the denormalized bias
@@ -120,7 +120,7 @@ class TestImputeSample:
         draws = [
             impute_sample(state, table, mask, rng).completed.cells[0, 0] for _ in range(1000)
         ]
-        probs = impute_sample(state, table, mask, rng).fills[0].params["probs"]
+        probs = impute_sample(state, table, mask, rng).records()[0]["params"]["probs"]
         counts = np.bincount(np.asarray(draws, dtype=int), minlength=3)
         result = chisquare(counts, np.asarray(probs) * 1000)
         assert result.pvalue > 0.01

@@ -1,13 +1,14 @@
 """Properties over random schemas: 1-6 columns of every kind, random masks."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hivae import generative as G
 from hivae import recognition as R
 from hivae import training as T
-from hivae.imputation import impute_map
+from hivae.imputation import impute_map, impute_sample
 from hivae.kinds import KINDS
 from hivae.tabular import (
     ColumnSpec,
@@ -98,21 +99,49 @@ def test_decode_gives_each_column_its_kind_class(data):
         assert np.all(np.isfinite(ll))
 
 
+# the params keys of each kind's sidecar record
+SUMMARY_KEYS = {
+    "real": {"kind", "mean", "var"},
+    "pos": {"kind", "log_mean", "log_var"},
+    "count": {"kind", "rate"},
+    "cat": {"kind", "probs"},
+    "ordinal": {"kind", "probs", "thresholds", "location"},
+}
+
+
+@pytest.mark.parametrize("method", ["map", "sample"])
 @given(datasets())
 @settings(max_examples=15, deadline=None)
-def test_trained_model_imputes_in_support_and_survives_a_round_trip(tmp_path_factory, data):
+def test_trained_model_imputes_in_support_and_survives_a_round_trip(
+    tmp_path_factory, method, data
+):
     table, _, mask, seed = data
     config = T.TrainConfig(dim_z=2, dim_s=3, dim_y=2, epochs=1, batch_size=20, seed=seed)
     model = T.train(table, mask, config)
-    result = impute_map(model, table, mask)
+
+    def impute(state):
+        if method == "map":
+            return impute_map(state, table, mask)
+        return impute_sample(state, table, mask, np.random.default_rng(seed))
+
+    result = impute(model)
     cells = result.completed.cells
     assert np.array_equal(cells[mask.observed], table.cells[mask.observed])
     for d, col in enumerate(table.schema.columns):
         filled = cells[~mask.observed[:, d], d]
         assert np.all(np.isfinite(filled))
         assert not np.any(col.kind_class.unsupported(filled, col.cardinality))
+    records = result.records()
+    assert [(rec["col"], rec["row"]) for rec in records] == [
+        (d, n) for d in range(table.n_cols) for n in np.flatnonzero(~mask.observed[:, d])
+    ]
+    for rec in records:
+        kind = table.schema.columns[rec["col"]].kind
+        assert rec["value"] == cells[rec["row"], rec["col"]]
+        assert rec["params"]["kind"] == kind
+        assert set(rec["params"]) == SUMMARY_KEYS[kind]
     path = tmp_path_factory.mktemp("model") / "model.json"
     T.save_model(model, path)
-    again = impute_map(T.load_model(path), table, mask)
+    again = impute(T.load_model(path))
     assert np.array_equal(again.completed.cells, cells)
-    assert again.fills == result.fills
+    assert again.records() == records

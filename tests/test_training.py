@@ -252,7 +252,7 @@ class TestTrain:
         assert all(np.isfinite(v) for _, _, v in state.training_log)
         result = impute_map(state, table, mask)
         assert np.array_equal(result.completed.cells[mask.observed], table.cells[mask.observed])
-        assert len(result.fills) == int((~mask.observed).sum())
+        assert len(result.records()) == int((~mask.observed).sum())
 
     def test_factorized_requires_single_component(self):
         with pytest.raises(ValueError, match="dim_s"):
@@ -311,7 +311,9 @@ class TestPersistence:
         with pytest.raises(T.ModelFormatError, match="corrupt"):
             T.load_model(path)
 
-    @pytest.mark.parametrize("corruption", ["truncated", "swapped"])
+    @pytest.mark.parametrize(
+        "corruption", ["truncated", "swapped", "zero_scale", "nan_shift", "wrong_domain"]
+    )
     def test_stats_not_matching_schema_are_corrupt(self, small_synthetic, tmp_path, corruption):
         table, mask = small_synthetic
         config = T.TrainConfig(dim_z=2, dim_s=2, dim_y=2, epochs=1, batch_size=20, seed=0)
@@ -322,9 +324,15 @@ class TestPersistence:
         stats = doc["stats"]
         if corruption == "truncated":
             del stats[3:]
-        else:  # a numeric column's stats traded with a nominal column's null
+        elif corruption == "swapped":  # a numeric column's stats traded with a nominal's null
             nominal = stats.index(None)
             stats[0], stats[nominal] = stats[nominal], stats[0]
+        elif corruption == "zero_scale":
+            stats[0][1] = 0.0
+        elif corruption == "nan_shift":
+            stats[0][0] = math.nan
+        else:  # the real column 0 claims the log domain of a pos column
+            stats[0][2] = "log"
         path.write_text(json.dumps(doc))
         with pytest.raises(T.ModelFormatError, match="corrupt"):
             T.load_model(path)
