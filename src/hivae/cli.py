@@ -1,7 +1,8 @@
 """Command-line surface: train, impute, evaluate, benchmark, predict.
 
 Exit codes: 0 success, 1 usage error, 2 data error (bad files, schema or
-fingerprint mismatch, undefined metric), 3 numerical failure (non-finite loss).
+fingerprint mismatch, undefined metric), 3 numerical failure (non-finite loss
+or gradient).
 """
 
 from __future__ import annotations
@@ -160,7 +161,8 @@ def cmd_impute(args) -> int:
     sidecar = args.out + ".fills.json"
     records = result.records()
     with open(sidecar, "w") as fh:
-        json.dump(records, fh, sort_keys=True)
+        # dumps runs the C encoder; dump would run the pure-Python one
+        fh.write(json.dumps(records, sort_keys=True))
         fh.write("\n")
     print(f"{len(records)} cells filled; sidecar {sidecar}", file=sys.stderr)
     return 0

@@ -20,13 +20,18 @@ LOG_VAR_CLAMP = 15.0  # |log variance| bound before exponentiation
 
 class Tensor:
     """A differentiable array: values, a same-shape grad accumulator, and an
-    optional backward record linking it to its parents."""
+    optional backward record linking it to its parents.
+
+    A leaf that requires grad (a parameter) holds a zero grad from the start.
+    Every other tensor holds ``grad = None`` until backward writes to it, and
+    constants, which do not require grad, are never written.
+    """
 
     __slots__ = ("values", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, values, requires_grad=False, _parents=(), _backward=None):
         self.values = np.asarray(values, dtype=np.float64)
-        self.grad = np.zeros_like(self.values)
+        self.grad = np.zeros_like(self.values) if requires_grad and not _parents else None
         self.requires_grad = requires_grad
         self._parents = _parents
         self._backward = _backward
@@ -96,20 +101,35 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def _node(values, parents, backward) -> Tensor:
-    """An op's output; backward(grad) pushes the output's grad to the parents.
+    """An op's output; backward(grad) pushes the output's grad to the parents
+    that require grad.
 
-    The closure holds the parents, never the output, so a dropped graph is
-    freed by reference counting without waiting for the cyclic collector.
+    The output requires grad when a parent does; otherwise it is a constant
+    and keeps neither parents nor closure.  The closure holds the parents,
+    never the output, so a dropped graph is freed by reference counting
+    without waiting for the cyclic collector.
     """
-    return Tensor(values, requires_grad=False, _parents=parents, _backward=backward)
+    if any(p.requires_grad for p in parents):
+        return Tensor(values, requires_grad=True, _parents=parents, _backward=backward)
+    return Tensor(values)
+
+
+def _accumulate(t: Tensor, g: np.ndarray) -> None:
+    """Add g to t's grad; the first write, g + 0.0, rounds like 0.0 + g did."""
+    if t.grad is None:
+        t.grad = g + 0.0
+    else:
+        t.grad += g
 
 
 def add(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
 
     def back(grad):
-        a.grad += _unbroadcast(grad, a.values.shape)
-        b.grad += _unbroadcast(grad, b.values.shape)
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(grad, a.values.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(grad, b.values.shape))
 
     return _node(a.values + b.values, (a, b), back)
 
@@ -118,8 +138,10 @@ def sub(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
 
     def back(grad):
-        a.grad += _unbroadcast(grad, a.values.shape)
-        b.grad -= _unbroadcast(grad, b.values.shape)
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(grad, a.values.shape))
+        if b.requires_grad:
+            _accumulate(b, -_unbroadcast(grad, b.values.shape))
 
     return _node(a.values - b.values, (a, b), back)
 
@@ -128,8 +150,10 @@ def mul(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
 
     def back(grad):
-        a.grad += _unbroadcast(grad * b.values, a.values.shape)
-        b.grad += _unbroadcast(grad * a.values, b.values.shape)
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(grad * b.values, a.values.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(grad * a.values, b.values.shape))
 
     return _node(a.values * b.values, (a, b), back)
 
@@ -138,8 +162,10 @@ def div(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
 
     def back(grad):
-        a.grad += _unbroadcast(grad / b.values, a.values.shape)
-        b.grad += _unbroadcast(-grad * a.values / (b.values * b.values), b.values.shape)
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(grad / b.values, a.values.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(-grad * a.values / (b.values * b.values), b.values.shape))
 
     return _node(a.values / b.values, (a, b), back)
 
@@ -150,8 +176,10 @@ def matmul(a, b) -> Tensor:
         raise ValueError(f"matmul shape mismatch: {a.values.shape} @ {b.values.shape}")
 
     def back(grad):
-        a.grad += grad @ b.values.T
-        b.grad += a.values.T @ grad
+        if a.requires_grad:
+            _accumulate(a, grad @ b.values.T)
+        if b.requires_grad:
+            _accumulate(b, a.values.T @ grad)
 
     return _node(a.values @ b.values, (a, b), back)
 
@@ -162,7 +190,7 @@ def tsum(a, axis=None, keepdims=False) -> Tensor:
     def back(grad):
         if axis is not None and not keepdims:
             grad = np.expand_dims(grad, axis)
-        a.grad += np.broadcast_to(grad, a.values.shape)
+        _accumulate(a, np.broadcast_to(grad, a.values.shape))
 
     return _node(a.values.sum(axis=axis, keepdims=keepdims), (a,), back)
 
@@ -172,7 +200,7 @@ def exp(a) -> Tensor:
     e = np.exp(a.values)
 
     def back(grad):
-        a.grad += grad * e
+        _accumulate(a, grad * e)
 
     return _node(e, (a,), back)
 
@@ -181,7 +209,7 @@ def log(a) -> Tensor:
     a = _lift(a)
 
     def back(grad):
-        a.grad += grad / a.values
+        _accumulate(a, grad / a.values)
 
     return _node(np.log(a.values), (a,), back)
 
@@ -191,7 +219,7 @@ def softplus(a) -> Tensor:
     a = _lift(a)
 
     def back(grad):
-        a.grad += grad * expit(a.values)
+        _accumulate(a, grad * expit(a.values))
 
     return _node(np.logaddexp(0.0, a.values), (a,), back)
 
@@ -201,7 +229,7 @@ def sigmoid(a) -> Tensor:
     s = expit(a.values)
 
     def back(grad):
-        a.grad += grad * s * (1.0 - s)
+        _accumulate(a, grad * s * (1.0 - s))
 
     return _node(s, (a,), back)
 
@@ -210,7 +238,7 @@ def relu(a) -> Tensor:
     a = _lift(a)
 
     def back(grad):
-        a.grad += grad * (a.values > 0.0)
+        _accumulate(a, grad * (a.values > 0.0))
 
     return _node(np.maximum(a.values, 0.0), (a,), back)
 
@@ -225,7 +253,7 @@ def clip(a, lo=None, hi=None) -> Tensor:
             inside &= a.values >= lo
         if hi is not None:
             inside &= a.values <= hi
-        a.grad += grad * inside
+        _accumulate(a, grad * inside)
 
     return _node(np.clip(a.values, lo, hi), (a,), back)
 
@@ -243,7 +271,8 @@ def concat(parts, axis=1) -> Tensor:
         for p, start, stop in zip(parts, offsets[:-1], offsets[1:]):
             idx = [slice(None)] * grad.ndim
             idx[axis] = slice(start, stop)
-            p.grad += grad[tuple(idx)]
+            if p.requires_grad:
+                _accumulate(p, grad[tuple(idx)])
 
     return _node(np.concatenate([p.values for p in parts], axis=axis), tuple(parts), back)
 
@@ -256,6 +285,8 @@ def narrow(a, start, width, axis=1) -> Tensor:
     idx = tuple(idx)
 
     def back(grad):
+        if a.grad is None:
+            a.grad = np.zeros_like(a.values)
         a.grad[idx] += grad
 
     return _node(a.values[idx], (a,), back)
@@ -266,7 +297,7 @@ def cumsum(a, axis=1) -> Tensor:
 
     def back(grad):
         flipped = np.flip(grad, axis=axis)
-        a.grad += np.flip(np.cumsum(flipped, axis=axis), axis=axis)
+        _accumulate(a, np.flip(np.cumsum(flipped, axis=axis), axis=axis))
 
     return _node(np.cumsum(a.values, axis=axis), (a,), back)
 
@@ -289,10 +320,13 @@ def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(leaf) into every leaf tensor's grad.
 
     Interior grads are reset per pass, so calling backward twice doubles the
-    leaf gradients, as an accumulator should.
+    leaf gradients, as an accumulator should.  The walk follows only tensors
+    that require grad, so constants are never visited.
     """
     if loss.values.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.values.shape}")
+    if not loss.requires_grad:
+        return
     topo: list[Tensor] = []
     seen: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(loss, False)]
@@ -306,12 +340,12 @@ def backward(loss: Tensor) -> None:
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
-            if id(p) not in seen:
+            if p.requires_grad and id(p) not in seen:
                 stack.append((p, False))
     for node in topo:
         if node._parents:
-            node.grad[...] = 0.0
-    loss.grad[...] += 1.0
+            node.grad = None
+    _accumulate(loss, np.ones_like(loss.values))
     for node in reversed(topo):
         if node._backward is not None:
             node._backward(node.grad)

@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -277,7 +279,8 @@ def encode_inputs(
 # ---------------------------------------------------------------------------
 #
 # Data file:  comma-separated, no header, one row per object; an empty field
-#             is a missing cell; nominal cells are integer class indices.
+#             is a missing cell; nominal cells are integer class indices; blank
+#             lines are skipped (see _read_records for a '""' line).
 # Types file: one line per column, "name,kind,cardinality"; cardinality may be
 #             omitted (or 0) for numeric kinds; kind in {real,pos,count,cat,ordinal}.
 # Mask file:  comma-separated 0/1 matrix, same shape as data, 1 = observed.
@@ -323,25 +326,78 @@ def _parse_cell(field: str, col: ColumnSpec, where: str) -> float:
     return value
 
 
-def load_mask(path) -> MissingMask:
-    rows = []
+def _read_records(path, one_column: bool) -> tuple[list[int], list[list[str]]]:
+    """Record numbers (from 1) and fields of a CSV file's records, blank lines skipped.
+
+    csv.writer writes a record of one empty field as '""'.  In a one-column
+    file that record is one missing cell; in a wider file it is skipped like a
+    blank line.
+    """
+    blank = ([],) if one_column else ([], [""])
+    numbers, rows = [], []
     with open(path, newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or row == [""]:
-                continue
-            flags = []
-            for colno, f in enumerate(row, start=1):
-                f = f.strip()
-                if f not in ("0", "1"):
-                    raise DataError(f"{path}:{lineno}, column {colno}: mask entry must be 0 or 1")
-                flags.append(f == "1")
-            rows.append(flags)
+            if row not in blank:
+                numbers.append(lineno)
+                rows.append(row)
+    return numbers, rows
+
+
+def _parse_columns(rows: list[list[str]], schema: Schema):
+    """(cells, empty flags) of the rows, parsed column by column, or None when
+    a row is ragged or a field fails its column's checks."""
+    n, D = len(rows), len(schema)
+    if set(map(len, rows)) != {D}:
+        return None
+    cells = np.zeros((n, D))
+    empty = np.zeros((n, D), dtype=bool)
+    for d, (col, fields) in enumerate(zip(schema.columns, zip(*rows))):
+        fields = list(map(str.strip, fields))
+        empty[:, d] = np.fromiter(map(operator.not_, fields), bool, n)
+        try:
+            values = np.fromiter(map(float, filter(None, fields)), np.float64)
+        except ValueError:
+            return None
+        if not np.isfinite(values).all() or np.any(
+            col.kind_class.unsupported(values, col.cardinality)
+        ):
+            return None
+        cells[~empty[:, d], d] = values
+    return cells, empty
+
+
+def _raise_first_error(path, numbers: list[int], rows: list[list[str]], schema: Schema):
+    """Raise the DataError of the first ragged row or bad cell in file order.
+
+    Called only when _parse_columns failed; it makes the same checks one cell
+    at a time, so it always raises.
+    """
+    D = len(schema)
+    for lineno, row in zip(numbers, rows):
+        if len(row) != D:
+            raise DataError(f"{path}:{lineno}: expected {D} fields, got {len(row)}")
+        for col, field in zip(schema.columns, row):
+            field = field.strip()
+            if field:
+                _parse_cell(field, col, f"{path}:{lineno}, column {col.name!r}")
+
+
+def load_mask(path) -> MissingMask:
+    numbers, rows = _read_records(path, one_column=False)
     if not rows:
         raise DataError(f"{path}: empty mask file")
-    widths = {len(r) for r in rows}
+    entries = {f: f.strip() for f in set(itertools.chain.from_iterable(rows))}
+    if not set(entries.values()) <= {"0", "1"}:
+        for lineno, row in zip(numbers, rows):
+            for colno, f in enumerate(row, start=1):
+                if entries[f] not in ("0", "1"):
+                    raise DataError(f"{path}:{lineno}, column {colno}: mask entry must be 0 or 1")
+    widths = set(map(len, rows))
     if len(widths) != 1:
         raise DataError(f"{path}: ragged mask rows (widths {sorted(widths)})")
-    return MissingMask(np.array(rows, dtype=bool))
+    ones = {f for f, entry in entries.items() if entry == "1"}
+    flags = np.fromiter(map(ones.__contains__, itertools.chain.from_iterable(rows)), bool)
+    return MissingMask(flags.reshape(len(rows), -1))
 
 
 def load_dataset(data_file, types_file, mask_file=None) -> tuple[HeterogeneousTable, MissingMask]:
@@ -353,33 +409,13 @@ def load_dataset(data_file, types_file, mask_file=None) -> tuple[HeterogeneousTa
     observed must actually carry a value.
     """
     schema = load_types(types_file)
-    D = len(schema)
-    cells: list[list[float]] = []
-    empty: list[list[bool]] = []
-    with open(data_file, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or row == [""]:
-                continue
-            if len(row) != D:
-                raise DataError(
-                    f"{data_file}:{lineno}: expected {D} fields, got {len(row)}"
-                )
-            crow, erow = [], []
-            for d, field in enumerate(row):
-                field = field.strip()
-                if field == "":
-                    crow.append(0.0)
-                    erow.append(True)
-                else:
-                    where = f"{data_file}:{lineno}, column {schema.columns[d].name!r}"
-                    crow.append(_parse_cell(field, schema.columns[d], where))
-                    erow.append(False)
-            cells.append(crow)
-            empty.append(erow)
-    if not cells:
+    numbers, rows = _read_records(data_file, one_column=len(schema) == 1)
+    if not rows:
         raise DataError(f"{data_file}: no data rows")
-    values = np.array(cells)
-    is_empty = np.array(empty, dtype=bool)
+    parsed = _parse_columns(rows, schema)
+    if parsed is None:
+        _raise_first_error(data_file, numbers, rows, schema)
+    values, is_empty = parsed
 
     if mask_file is None:
         observed = ~is_empty
@@ -397,7 +433,6 @@ def load_dataset(data_file, types_file, mask_file=None) -> tuple[HeterogeneousTa
                 "is marked observed but the field is empty"
             )
         observed = mask.observed.copy()
-        values = values.copy()
         values[~observed] = 0.0  # sentinel; never read except through the mask
 
     return HeterogeneousTable(schema, values), MissingMask(observed)
@@ -405,21 +440,16 @@ def load_dataset(data_file, types_file, mask_file=None) -> tuple[HeterogeneousTa
 
 def write_table(table: HeterogeneousTable, path, mask: MissingMask | None = None) -> None:
     """Write a table in the input CSV dialect; masked cells become empty fields."""
-    formats = [col.kind_class.format_cell for col in table.schema.columns]
+    columns = []
+    for d, col in enumerate(table.schema.columns):
+        shown = slice(None) if mask is None else mask.observed[:, d]
+        fields = np.full(table.n_rows, "", dtype=object)
+        fields[shown] = list(map(col.kind_class.format_cell, table.cells[shown, d].tolist()))
+        columns.append(fields.tolist())
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        for n in range(table.n_rows):
-            row = []
-            for d, format_cell in enumerate(formats):
-                if mask is not None and not mask.observed[n, d]:
-                    row.append("")
-                else:
-                    row.append(format_cell(table.cells[n, d]))
-            w.writerow(row)
+        csv.writer(fh).writerows(zip(*columns))
 
 
 def write_mask(mask: MissingMask, path) -> None:
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        for row in mask.observed:
-            w.writerow(["1" if o else "0" for o in row])
+        csv.writer(fh).writerows(np.where(mask.observed, "1", "0").tolist())

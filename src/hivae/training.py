@@ -40,12 +40,15 @@ MODEL_FORMAT = "hivae-model"
 MODEL_VERSION = 1
 
 class TrainingError(RuntimeError):
-    """Non-finite loss; carries the epoch/batch where optimization failed."""
+    """Non-finite loss, or non-finite gradient of the named parameter; carries
+    the epoch/batch where optimization failed."""
 
-    def __init__(self, epoch: int, batch: int):
-        super().__init__(f"non-finite loss at epoch {epoch}, batch {batch}")
+    def __init__(self, epoch: int, batch: int, parameter: str | None = None):
+        what = "loss" if parameter is None else f"gradient of parameter {parameter}"
+        super().__init__(f"non-finite {what} at epoch {epoch}, batch {batch}")
         self.epoch = epoch
         self.batch = batch
+        self.parameter = parameter
 
 
 class ModelFormatError(RuntimeError):
@@ -243,7 +246,8 @@ def train(
     if config.normalization:
         state.stats = fit_normalization(table, mask, range(table.n_rows))
 
-    params = list(named_parameters(state).values())
+    named = named_parameters(state)
+    params = list(named.values())
     adam = C.AdamState()
     n = table.n_rows
     for epoch in range(config.epochs):
@@ -258,6 +262,9 @@ def train(
                 raise TrainingError(epoch, batch_idx)
             loss = elbo * (-1.0 / rows.size)
             C.backward(loss)
+            for name, p in named.items():
+                if not np.isfinite(p.grad).all():
+                    raise TrainingError(epoch, batch_idx, name)
             C.adam_step(adam, params)
             epoch_elbo += value
         state.training_log.append((epoch, tau, epoch_elbo))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from hivae import compute as C
 from hivae import training as T
+from hivae.imputation import impute_map
 
 from conftest import StubRng, finite_difference, max_rel_err
 
@@ -104,6 +105,54 @@ class TestBackward:
         x = C.parameter([[1.0, 2.0]])
         with pytest.raises(ValueError):
             C.backward(x * x)
+
+
+class TestLazyGradients:
+    @pytest.fixture
+    def created(self, monkeypatch):
+        """Every tensor created while the test runs, in creation order."""
+        made = []
+        init = C.Tensor.__init__
+
+        def recording_init(tensor, *args, **kwargs):
+            init(tensor, *args, **kwargs)
+            made.append(tensor)
+
+        monkeypatch.setattr(C.Tensor, "__init__", recording_init)
+        return made
+
+    @pytest.fixture
+    def state(self, small_synthetic):
+        table, _ = small_synthetic
+        config = T.TrainConfig(dim_z=3, dim_s=2, dim_y=2, epochs=1, batch_size=20, seed=0)
+        return T.build_model(table.schema, config, np.random.default_rng(0))
+
+    def test_map_imputation_allocates_no_gradient(self, small_synthetic, state, created):
+        params = set(map(id, state.parameters()))
+        assert all(t.grad is not None for t in created if id(t) in params)
+        start = len(created)
+        impute_map(state, *small_synthetic)
+        graph = created[start:]
+        assert graph and all(t.grad is None for t in graph)
+
+    def test_backward_never_writes_a_constant(self, small_synthetic, state, created):
+        table, mask = small_synthetic
+        start = len(created)
+        elbo = T.elbo_batch(state, table, mask, range(table.n_rows), 0.5, np.random.default_rng(1))
+        C.backward(elbo)
+        constants = [t for t in created[start:] if not t.requires_grad]
+        assert constants and all(t.grad is None for t in constants)
+        assert np.any(state.generative.g_layers[0].weights.grad != 0.0)
+
+    def test_two_passes_double_the_parameter_gradients(self, small_synthetic, state):
+        table, mask = small_synthetic
+        elbo = T.elbo_batch(state, table, mask, range(table.n_rows), 0.5, np.random.default_rng(1))
+        params = state.parameters()
+        C.backward(elbo)
+        once = [p.grad.copy() for p in params]
+        C.backward(elbo)
+        for g, p in zip(once, params):
+            np.testing.assert_allclose(p.grad, 2.0 * g, rtol=1e-9, atol=1e-12)
 
 
 OPS = {

@@ -147,6 +147,28 @@ class TestLoader:
         mask3 = load_mask(str(tmp_path / "mask.csv"))
         assert np.array_equal(mask3.observed, mask.observed)
 
+    def test_one_column_table_with_a_masked_cell_round_trips(self, tmp_path):
+        # csv.writer writes the lone empty field as '""', which is a cell, not a blank line
+        schema = Schema((ColumnSpec("x", "real"),))
+        table = HeterogeneousTable(schema, np.array([[1.0], [2.0], [3.0]]))
+        mask = MissingMask(np.array([[True], [False], [True]]))
+        write_table(table, tmp_path / "d.csv", mask)
+        write_table(table, tmp_path / "full.csv")
+        write_mask(mask, tmp_path / "m.csv")
+        types = write(tmp_path / "t.csv", "x,real\n")
+        assert (tmp_path / "d.csv").read_bytes() == b'1.0\r\n""\r\n3.0\r\n'
+        files = ((tmp_path / "d.csv", None), (tmp_path / "full.csv", tmp_path / "m.csv"))
+        for data, maskf in files:
+            table2, mask2 = load_dataset(data, types, maskf)
+            assert np.array_equal(mask2.observed, mask.observed)
+            assert table2.cells[:, 0].tolist() == [1.0, 0.0, 3.0]
+
+    def test_blank_lines_are_skipped_in_a_one_column_file(self, tmp_path):
+        data = write(tmp_path / "d.csv", '1.0\n\n""\n\n2.0\n')
+        types = write(tmp_path / "t.csv", "x,real\n")
+        table, mask = load_dataset(data, types)
+        assert mask.observed[:, 0].tolist() == [True, False, True]
+
 
 class TestNormalization:
     def test_real_two_point_stats(self):

@@ -12,8 +12,9 @@ from hivae import benchmark as B
 from hivae import compute as C
 from hivae import recognition as R
 from hivae import training as T
+from hivae.cli import main
 from hivae.imputation import impute_map
-from hivae.tabular import ColumnSpec, HeterogeneousTable, MissingMask, Schema
+from hivae.tabular import ColumnSpec, HeterogeneousTable, MissingMask, Schema, write_table
 
 from conftest import finite_difference, max_rel_err
 
@@ -275,6 +276,43 @@ class TestTrain:
         numeric = finite_difference(lambda: float(scalar().values), params)
         for a, n in zip(analytic, numeric):
             assert max_rel_err(a, n) < 1e-3
+
+
+class TestNonFiniteGradient:
+    NAME = "gen.g.0.w"
+
+    @pytest.fixture
+    def poisoned(self, monkeypatch):
+        """Make every backward pass leave an inf in one named parameter's gradient."""
+        named, original, backward = {}, T.named_parameters, C.backward
+
+        def recording(state):
+            named.update(original(state))
+            return original(state)
+
+        def poisoned_backward(loss):
+            backward(loss)
+            named[self.NAME].grad.flat[0] = np.inf
+
+        monkeypatch.setattr(T, "named_parameters", recording)
+        monkeypatch.setattr(C, "backward", poisoned_backward)
+
+    def test_training_stops_and_names_the_parameter(self, small_synthetic, poisoned):
+        config = T.TrainConfig(dim_z=2, dim_s=2, dim_y=2, epochs=2, batch_size=20)
+        with pytest.raises(T.TrainingError, match=r"gradient of parameter gen\.g\.0\.w") as exc:
+            T.train(*small_synthetic, config)
+        assert (exc.value.parameter, exc.value.epoch, exc.value.batch) == (self.NAME, 0, 0)
+
+    def test_cli_exits_3(self, small_synthetic, poisoned, tmp_path, capsys):
+        table, mask = small_synthetic
+        write_table(table, tmp_path / "d.csv", mask)
+        (tmp_path / "t.csv").write_text(
+            "".join(f"{c.name},{c.kind},{c.cardinality}\n" for c in table.schema.columns)
+        )
+        code = main(["train", "--data", str(tmp_path / "d.csv"), "--types", str(tmp_path / "t.csv"),
+                     "--out", str(tmp_path / "m.json"), "--epochs", "2", "--batch", "20"])
+        assert code == 3
+        assert self.NAME in capsys.readouterr().err
 
 
 class TestPersistence:
