@@ -49,12 +49,7 @@ def main() -> None:
 
     if args.out:
         with open(args.out, "w") as fh:
-            docs = []
-            for r in reports:
-                doc = asdict(r)
-                doc["per_column"] = [asdict(s) for s in r.per_column]
-                docs.append(doc)
-            json.dump(docs, fh, sort_keys=True)
+            json.dump([asdict(r) for r in reports], fh, sort_keys=True)
             fh.write("\n")
         print(f"wrote {args.out}")
 

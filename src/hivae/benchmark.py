@@ -19,10 +19,6 @@ from .training import TrainConfig, train
 
 METHODS = ("hivae_map", "hivae_sample", "mean_mode")
 
-NUMERIC_METRIC = "nrmse"
-CAT_METRIC = "accuracy"
-ORDINAL_METRIC = "displacement"
-
 
 class MetricUndefinedError(ValueError):
     """The metric denominator is degenerate (e.g. zero-range column)."""
@@ -78,6 +74,14 @@ def displacement_error(truth, imputed, cardinality: int, scored=None) -> float:
         warnings.warn("displacement error over an empty evaluation set; reporting 0")
         return 0.0
     return float(np.mean(np.abs(t - i)) / cardinality)
+
+
+# a kind's ``metric`` -> error of one column (truth, imputed, scored cells, spec)
+_COLUMN_ERROR = {
+    "nrmse": lambda t, i, scored, col: nrmse(t, i, scored),
+    "accuracy": lambda t, i, scored, col: accuracy_error(t, i, scored),
+    "displacement": lambda t, i, scored, col: displacement_error(t, i, col.cardinality, scored),
+}
 
 
 def mean_mode_impute(table: HeterogeneousTable, mask: MissingMask) -> ImputationResult:
@@ -152,23 +156,16 @@ def score_imputation(
         metric = col.kind_class.metric
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            if metric == NUMERIC_METRIC:
-                try:
-                    value = nrmse(truth.cells[:, d], imputed.cells[:, d], scored)
-                except MetricUndefinedError as exc:
-                    raise MetricUndefinedError(f"column {col.name!r}: {exc}") from None
-            elif metric == CAT_METRIC:
-                value = accuracy_error(truth.cells[:, d], imputed.cells[:, d], scored)
-            else:
-                value = displacement_error(
-                    truth.cells[:, d], imputed.cells[:, d], col.cardinality, scored
-                )
+            try:
+                value = _COLUMN_ERROR[metric](truth.cells[:, d], imputed.cells[:, d], scored, col)
+            except MetricUndefinedError as exc:
+                raise MetricUndefinedError(f"column {col.name!r}: {exc}") from None
         if n_cells == 0:
             notes.append(f"column {col.name!r}: no masked cells to score")
         scores.append(ColumnScore(col.name, col.kind, metric, value, n_cells))
 
-    numeric = [s.value for s in scores if s.metric == NUMERIC_METRIC]
-    nominal = [s.value for s in scores if s.metric != NUMERIC_METRIC]
+    numeric = [s.value for s, col in zip(scores, truth.schema.columns) if not col.is_nominal]
+    nominal = [s.value for s, col in zip(scores, truth.schema.columns) if col.is_nominal]
     return MetricsReport(
         method=method,
         fraction=fraction,

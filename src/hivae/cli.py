@@ -168,12 +168,6 @@ def cmd_impute(args) -> int:
     return 0
 
 
-def _report_doc(report: B.MetricsReport) -> dict:
-    doc = asdict(report)
-    doc["per_column"] = [asdict(s) for s in report.per_column]
-    return doc
-
-
 def _print_report(report: B.MetricsReport) -> None:
     print(
         f"method={report.method} fraction={report.fraction:g} repeat={report.repeat} "
@@ -192,7 +186,7 @@ def cmd_evaluate(args) -> int:
     mask = load_mask(args.mask)
     report = B.score_imputation(truth, imputed, mask, method="evaluate", fraction=0.0)
     with open(args.out, "w") as fh:
-        json.dump(_report_doc(report), fh, sort_keys=True)
+        json.dump(asdict(report), fh, sort_keys=True)
         fh.write("\n")
     for score in report.per_column:
         print(f"{score.name}: {score.metric}={score.value:.4f} over {score.n_cells} cells")
@@ -219,7 +213,7 @@ def cmd_benchmark(args) -> int:
     config = _config(args)
     reports = B.run_benchmark(table, config, fractions, args.repeats, methods, args.seed)
     with open(args.out, "w") as fh:
-        json.dump([_report_doc(r) for r in reports], fh, sort_keys=True)
+        json.dump([asdict(r) for r in reports], fh, sort_keys=True)
         fh.write("\n")
     for report in reports:
         _print_report(report)

@@ -258,10 +258,6 @@ def clip(a, lo=None, hi=None) -> Tensor:
     return _node(np.clip(a.values, lo, hi), (a,), back)
 
 
-def clip_min(a, lo) -> Tensor:
-    return clip(a, lo=lo)
-
-
 def concat(parts, axis=1) -> Tensor:
     parts = [_lift(p) for p in parts]
     sizes = [p.values.shape[axis] for p in parts]
@@ -414,6 +410,16 @@ def forward_stack(layers, x: Tensor) -> Tensor:
     for layer in layers:
         x = forward_dense(layer, x)
     return x
+
+
+def named_stacks(stacks: dict) -> dict[str, Tensor]:
+    """Each stack's tensors as {prefix}.{i}.w / {prefix}.{i}.b, in the given order."""
+    return {
+        f"{prefix}.{i}.{part}": tensor
+        for prefix, stack in stacks.items()
+        for i, layer in enumerate(stack)
+        for part, tensor in (("w", layer.weights), ("b", layer.bias))
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -35,30 +35,26 @@ class ColumnHead:
     loc_layers: list  # concat(y_d, s) -> location-like outputs
     scale_layers: list | None  # s -> scale/threshold outputs
 
-    def parameters(self) -> list[C.Tensor]:
-        params = []
-        for stack in (self.loc_layers, self.scale_layers or []):
-            for layer in stack:
-                params.extend([layer.weights, layer.bias])
-        return params
-
 
 @dataclass
 class GenerativeNets:
-    dim_s: int
     dim_z: int
     dim_y: int
     prior_mu_table: C.Tensor  # (L, K) component means of the mixture prior
     g_layers: list  # z -> D * dim_y shared representation
     heads: list[ColumnHead]
 
+    def named_parameters(self) -> dict[str, C.Tensor]:
+        """gen.prior_mu, the gen.g stack, then each column's loc (and scale) head."""
+        stacks = {"gen.g": self.g_layers}
+        for d, head in enumerate(self.heads):
+            stacks[f"gen.head{d}.loc"] = head.loc_layers
+            if head.scale_layers:
+                stacks[f"gen.head{d}.scale"] = head.scale_layers
+        return {"gen.prior_mu": self.prior_mu_table, **C.named_stacks(stacks)}
+
     def parameters(self) -> list[C.Tensor]:
-        params = [self.prior_mu_table]
-        for layer in self.g_layers:
-            params.extend([layer.weights, layer.bias])
-        for head in self.heads:
-            params.extend(head.parameters())
-        return params
+        return list(self.named_parameters().values())
 
 
 def build_generative(
@@ -75,7 +71,6 @@ def build_generative(
             )
         )
     return GenerativeNets(
-        dim_s=dim_s,
         dim_z=dim_z,
         dim_y=dim_y,
         prior_mu_table=C.parameter(rng.uniform(-0.05, 0.05, size=(dim_s, dim_z))),

@@ -80,7 +80,7 @@ class NormalParams(_Kind):
 
     @classmethod
     def from_head(cls, loc: C.Tensor, scale: C.Tensor, st):
-        raw_var = C.clip_min(C.softplus(scale), VAR_FLOOR)
+        raw_var = C.clip(C.softplus(scale), lo=VAR_FLOOR)
         return cls(loc * st.scale + st.shift, raw_var * (st.scale**2))
 
     def log_prob(self, x) -> C.Tensor:
@@ -142,7 +142,7 @@ class PoissonParams(_Kind):
 
     @classmethod
     def from_head(cls, loc: C.Tensor, scale, st):
-        return cls(C.clip_min(C.softplus(loc), RATE_FLOOR))
+        return cls(C.clip(C.softplus(loc), lo=RATE_FLOOR))
 
     def log_prob(self, x) -> C.Tensor:
         xv = self._checked(_column(x))
@@ -190,7 +190,7 @@ class CategoricalParams(_Kind):
         R = self.probs.values.shape[1]
         classes = self._checked(np.asarray(x, dtype=np.intp), R)
         one_hot = CategoricalParams.encode(classes, None, R)  # one-hot for ordinals too
-        picked = C.log(C.clip_min(self.probs, PROB_FLOOR)) * C.constant(one_hot)
+        picked = C.log(C.clip(self.probs, lo=PROB_FLOOR)) * C.constant(one_hot)
         return C.tsum(picked, axis=1, keepdims=True)
 
     def mode(self) -> np.ndarray:
@@ -219,7 +219,7 @@ class OrdinalParams(CategoricalParams):
 
     @classmethod
     def from_head(cls, loc: C.Tensor, scale: C.Tensor, st):
-        thresholds = C.cumsum(C.clip_min(C.softplus(scale), GAP_FLOOR), axis=1)
+        thresholds = C.cumsum(C.clip(C.softplus(scale), lo=GAP_FLOOR), axis=1)
         cdf = C.sigmoid(thresholds - loc)
         B = loc.values.shape[0]
         ones = C.constant(np.ones((B, 1)))

@@ -40,23 +40,19 @@ class EncoderNets:
     """Trainable encoder parameters for either encoder mode."""
 
     mode: str
-    dim_s: int
     dim_z: int
-    input_width: int
     s_layers: list | None = None  # x_tilde -> L logits
     z_layers: list | None = None  # concat(x_tilde, s) -> (K mu, K log_var)
     per_column: list | None = None  # factorized: column slots -> (K mu, K log_var)
 
-    def parameters(self) -> list[C.Tensor]:
-        params = []
-        for stack in ([self.s_layers, self.z_layers] if self.mode == INPUT_DROPOUT else []):
-            for layer in stack:
-                params.extend([layer.weights, layer.bias])
+    def named_parameters(self) -> dict[str, C.Tensor]:
+        """enc.s / enc.z stacks, or one enc.col{d} stack per column (factorized)."""
         if self.mode == FACTORIZED:
-            for stack in self.per_column:
-                for layer in stack:
-                    params.extend([layer.weights, layer.bias])
-        return params
+            return C.named_stacks({f"enc.col{d}": stack for d, stack in enumerate(self.per_column)})
+        return C.named_stacks({"enc.s": self.s_layers, "enc.z": self.z_layers})
+
+    def parameters(self) -> list[C.Tensor]:
+        return list(self.named_parameters().values())
 
 
 def build_encoder(
@@ -66,9 +62,7 @@ def build_encoder(
     if mode == INPUT_DROPOUT:
         return EncoderNets(
             mode=mode,
-            dim_s=dim_s,
             dim_z=dim_z,
-            input_width=width,
             s_layers=C.init_stack(width, dim_s, layers, rng),
             z_layers=C.init_stack(width + dim_s, 2 * dim_z, layers, rng),
         )
@@ -77,9 +71,7 @@ def build_encoder(
             raise ConfigError("factorized encoder does not model s; requires dim_s = 1")
         return EncoderNets(
             mode=mode,
-            dim_s=1,
             dim_z=dim_z,
-            input_width=width,
             per_column=[
                 C.init_stack(col.encoded_width, 2 * dim_z, layers, rng)
                 for col in schema.columns

@@ -98,7 +98,7 @@ class ModelState:
     training_log: list = field(default_factory=list)  # (epoch, tau, elbo)
 
     def parameters(self) -> list[C.Tensor]:
-        return self.encoder.parameters() + self.generative.parameters()
+        return list(named_parameters(self).values())
 
     def fingerprint(self) -> str:
         return self.schema.fingerprint()
@@ -116,28 +116,7 @@ def build_model(schema: Schema, config: TrainConfig, rng) -> ModelState:
 
 def named_parameters(state: ModelState) -> dict[str, C.Tensor]:
     """Stable name -> tensor map used by the optimizer and the model file."""
-    names: dict[str, C.Tensor] = {}
-
-    def add_stack(prefix, stack):
-        for i, layer in enumerate(stack):
-            names[f"{prefix}.{i}.w"] = layer.weights
-            names[f"{prefix}.{i}.b"] = layer.bias
-
-    enc = state.encoder
-    if enc.mode == R.INPUT_DROPOUT:
-        add_stack("enc.s", enc.s_layers)
-        add_stack("enc.z", enc.z_layers)
-    else:
-        for d, stack in enumerate(enc.per_column):
-            add_stack(f"enc.col{d}", stack)
-    gen = state.generative
-    names["gen.prior_mu"] = gen.prior_mu_table
-    add_stack("gen.g", gen.g_layers)
-    for d, head in enumerate(gen.heads):
-        add_stack(f"gen.head{d}.loc", head.loc_layers)
-        if head.scale_layers is not None:
-            add_stack(f"gen.head{d}.scale", head.scale_layers)
-    return names
+    return {**state.encoder.named_parameters(), **state.generative.named_parameters()}
 
 
 def gaussian_kl(mu_q: C.Tensor, log_var_q: C.Tensor, mu_p: C.Tensor) -> C.Tensor:
@@ -153,12 +132,6 @@ def categorical_kl(s_logits: C.Tensor) -> C.Tensor:
     p = C.softmax(s_logits, axis=1)
     lp = C.log_softmax(s_logits, axis=1)
     return C.tsum(p * (lp + math.log(L)), axis=1)
-
-
-def _safe_column(table: HeterogeneousTable, mask: MissingMask, rows, d: int) -> np.ndarray:
-    vals = table.cells[rows, d].copy()
-    vals[~mask.observed[rows, d]] = table.schema.columns[d].kind_class.safe_value
-    return vals
 
 
 def _batch_stats(state: ModelState, table, mask, rows) -> NormalizationStats:
@@ -190,11 +163,12 @@ def elbo_batch(
     params = R.posterior(state.encoder, table, mask, stats, rows)
     latent = R.sample_latent(params, tau, rng)
 
-    recon = C.constant(0.0)
-    for d, lik in enumerate(G.decode(state.generative, latent, stats)):
-        obs = C.constant(mask.observed[rows, d].astype(np.float64)[:, None])
-        ll = G.log_likelihood(lik, _safe_column(table, mask, rows, d))
-        recon = recon + C.tsum(ll * obs)
+    observed = mask.observed[rows]
+    safe_values = [col.kind_class.safe_value for col in table.schema.columns]
+    x = np.where(observed, table.cells[rows], safe_values)  # in-support stand-ins
+    liks = G.decode(state.generative, latent, stats)
+    ll = C.concat([G.log_likelihood(lik, x[:, d]) for d, lik in enumerate(liks)])
+    recon = C.tsum(ll * C.constant(observed.astype(np.float64)))
 
     if exact_s_kl:
         L = state.config.dim_s

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from hivae import benchmark as B
 from hivae import compute as C
+from hivae import generative as G
 from hivae import recognition as R
 from hivae import training as T
 from hivae.cli import main
@@ -145,6 +146,97 @@ class TestElboBatch:
         assert len(calls) == 1
         impute_map(state, table, mask)
         assert len(calls) == 2
+
+
+def reference_elbo(state, table, mask, rows, tau, rng):
+    """elbo_batch with the reconstruction summed one column at a time: the
+    per-column loop that the single masked (B, D) block replaced."""
+    rows = np.asarray(rows, dtype=np.intp)
+    stats = T._batch_stats(state, table, mask, rows)
+    params = R.posterior(state.encoder, table, mask, stats, rows)
+    latent = R.sample_latent(params, tau, rng)
+    recon = C.constant(0.0)
+    for d, lik in enumerate(G.decode(state.generative, latent, stats)):
+        vals = table.cells[rows, d].copy()
+        vals[~mask.observed[rows, d]] = table.schema.columns[d].kind_class.safe_value
+        obs = C.constant(mask.observed[rows, d].astype(np.float64)[:, None])
+        recon = recon + C.tsum(G.log_likelihood(lik, vals) * obs)
+    mu_p = C.matmul(latent.s_soft, state.generative.prior_mu_table)
+    kl_z = C.tsum(T.gaussian_kl(latent.z_mu, latent.z_log_var, mu_p))
+    kl_s = C.tsum(T.categorical_kl(params.s_logits))
+    return recon - kl_z - kl_s
+
+
+class TestMaskedReconstructionBlock:
+    """The one masked (B, D) reconstruction sum against the per-column loop."""
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("mode", [R.INPUT_DROPOUT, R.FACTORIZED])
+    def test_matches_the_per_column_loop(self, mode, layers):
+        table = B.synthetic_table(60, seed=8)
+        observed = B.generate_mcar_mask(table, 0.3, seed=9).observed.copy()
+        observed[:, 2] = False  # one column fully masked in every batch
+        mask = MissingMask(observed)
+        dim_s = 1 if mode == R.FACTORIZED else 3
+        config = T.TrainConfig(
+            dim_z=2, dim_s=dim_s, dim_y=2, layers=layers, encoder_mode=mode, seed=0
+        )
+        state = T.build_model(table.schema, config, np.random.default_rng(4))
+        params = list(T.named_parameters(state).values())
+        rows = np.arange(5, 45)
+
+        def value_and_grads(elbo_fn):
+            elbo = elbo_fn(state, table, mask, rows, 0.6, np.random.default_rng(12))
+            C.backward(elbo * (-1.0 / rows.size))
+            grads = [p.grad.copy() for p in params]
+            C.zero_grads(params)
+            return float(elbo.values), grads
+
+        ref_value, ref_grads = value_and_grads(reference_elbo)
+        value, grads = value_and_grads(T.elbo_batch)
+        assert value == pytest.approx(ref_value, rel=1e-12)
+        for name, g, ref in zip(T.named_parameters(state), grads, ref_grads):
+            assert np.array_equal(g, ref), name
+
+
+class TestNamedParameters:
+    SCHEMA = Schema((ColumnSpec("r", "real"), ColumnSpec("n", "count"), ColumnSpec("c", "cat", 3)))
+
+    def names(self, **config):
+        config = T.TrainConfig(dim_z=2, dim_y=2, **config)
+        state = T.build_model(self.SCHEMA, config, np.random.default_rng(0))
+        return list(T.named_parameters(state))
+
+    def test_input_dropout_names(self):
+        assert self.names(dim_s=2, layers=2) == [
+            "enc.s.0.w", "enc.s.0.b", "enc.s.1.w", "enc.s.1.b",
+            "enc.z.0.w", "enc.z.0.b", "enc.z.1.w", "enc.z.1.b",
+            "gen.prior_mu",
+            "gen.g.0.w", "gen.g.0.b", "gen.g.1.w", "gen.g.1.b",
+            "gen.head0.loc.0.w", "gen.head0.loc.0.b", "gen.head0.loc.1.w", "gen.head0.loc.1.b",
+            "gen.head0.scale.0.w", "gen.head0.scale.0.b",
+            "gen.head0.scale.1.w", "gen.head0.scale.1.b",
+            "gen.head1.loc.0.w", "gen.head1.loc.0.b", "gen.head1.loc.1.w", "gen.head1.loc.1.b",
+            "gen.head2.loc.0.w", "gen.head2.loc.0.b", "gen.head2.loc.1.w", "gen.head2.loc.1.b",
+        ]
+
+    def test_factorized_names(self):
+        assert self.names(dim_s=1, encoder_mode=R.FACTORIZED) == [
+            "enc.col0.0.w", "enc.col0.0.b", "enc.col1.0.w", "enc.col1.0.b",
+            "enc.col2.0.w", "enc.col2.0.b",
+            "gen.prior_mu", "gen.g.0.w", "gen.g.0.b",
+            "gen.head0.loc.0.w", "gen.head0.loc.0.b", "gen.head0.scale.0.w", "gen.head0.scale.0.b",
+            "gen.head1.loc.0.w", "gen.head1.loc.0.b",
+            "gen.head2.loc.0.w", "gen.head2.loc.0.b",
+        ]
+
+    @pytest.mark.parametrize("mode", [R.INPUT_DROPOUT, R.FACTORIZED])
+    def test_parameters_are_the_named_tensors_in_order(self, mode):
+        config = T.TrainConfig(dim_z=2, dim_s=1, dim_y=2, layers=2, encoder_mode=mode)
+        state = T.build_model(self.SCHEMA, config, np.random.default_rng(0))
+        named = list(T.named_parameters(state).values())
+        nets = state.encoder.parameters() + state.generative.parameters()
+        assert list(map(id, state.parameters())) == list(map(id, named)) == list(map(id, nets))
 
 
 class TestKLOracles:
