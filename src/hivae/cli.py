@@ -38,14 +38,19 @@ class Parser(argparse.ArgumentParser):
 
 
 def _add_config_flags(p: Parser) -> None:
-    p.add_argument("--dim-z", type=int, default=10, help="latent code dimension (default 10)")
-    p.add_argument("--dim-s", type=int, default=10, help="mixture components (default 10)")
-    p.add_argument("--dim-y", type=int, default=5, help="per-column shared width (default 5)")
-    p.add_argument("--layers", type=int, choices=(1, 2), default=1, help="dense layers per net")
-    p.add_argument("--epochs", type=int, default=2000, help="training epochs (default 2000)")
-    p.add_argument("--batch", type=int, default=1000, help="minibatch size (default 1000)")
-    p.add_argument("--tau-start", type=float, default=1.0, help="initial Gumbel temperature")
-    p.add_argument("--tau-end", type=float, default=1e-3, help="final Gumbel temperature")
+    d = TrainConfig()
+
+    def flag(name, default, text, **kw):
+        p.add_argument(name, type=type(default), default=default, help=text.format(default), **kw)
+
+    flag("--dim-z", d.dim_z, "latent code dimension (default {})")
+    flag("--dim-s", d.dim_s, "mixture components (default {})")
+    flag("--dim-y", d.dim_y, "per-column shared width (default {})")
+    flag("--layers", d.layers, "dense layers per net", choices=(1, 2))
+    flag("--epochs", d.epochs, "training epochs (default {})")
+    flag("--batch", d.batch_size, "minibatch size (default {})")
+    flag("--tau-start", d.tau_start, "initial Gumbel temperature")
+    flag("--tau-end", d.tau_end, "final Gumbel temperature")
     p.add_argument(
         "--encoder",
         choices=("dropout", "factorized"),
@@ -160,12 +165,16 @@ def cmd_impute(args) -> int:
     write_table(result.completed, args.out)
     sidecar = args.out + ".fills.json"
     records = result.records()
-    with open(sidecar, "w") as fh:
-        # dumps runs the C encoder; dump would run the pure-Python one
-        fh.write(json.dumps(records, sort_keys=True))
-        fh.write("\n")
+    _write_json(sidecar, records)
     print(f"{len(records)} cells filled; sidecar {sidecar}", file=sys.stderr)
     return 0
+
+
+def _write_json(path, doc) -> None:
+    with open(path, "w") as fh:
+        # dumps runs the C encoder; dump would run the pure-Python one
+        fh.write(json.dumps(doc, sort_keys=True))
+        fh.write("\n")
 
 
 def _print_report(report: B.MetricsReport) -> None:
@@ -185,9 +194,7 @@ def cmd_evaluate(args) -> int:
             raise TabularError(f"{name}: must be a complete table (no empty cells)")
     mask = load_mask(args.mask)
     report = B.score_imputation(truth, imputed, mask, method="evaluate", fraction=0.0)
-    with open(args.out, "w") as fh:
-        json.dump(asdict(report), fh, sort_keys=True)
-        fh.write("\n")
+    _write_json(args.out, asdict(report))
     for score in report.per_column:
         print(f"{score.name}: {score.metric}={score.value:.4f} over {score.n_cells} cells")
     print(f"avg_err={report.avg_err:.4f}")
@@ -198,9 +205,6 @@ def cmd_evaluate(args) -> int:
 
 def cmd_benchmark(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    unknown = [m for m in methods if m not in B.METHODS]
-    if unknown:
-        raise UsageError(f"unknown methods {unknown}; choose from {B.METHODS}")
     fractions = [float(f) for f in args.fractions.split(",") if f.strip()]
     if args.synthetic:
         table = B.synthetic_table(n_rows=args.rows, seed=args.seed)
@@ -212,9 +216,7 @@ def cmd_benchmark(args) -> int:
             raise TabularError(f"{args.data}: must be a complete table (no empty cells)")
     config = _config(args)
     reports = B.run_benchmark(table, config, fractions, args.repeats, methods, args.seed)
-    with open(args.out, "w") as fh:
-        json.dump([asdict(r) for r in reports], fh, sort_keys=True)
-        fh.write("\n")
+    _write_json(args.out, [asdict(r) for r in reports])
     for report in reports:
         _print_report(report)
     return 0
@@ -241,9 +243,7 @@ def cmd_predict(args) -> int:
             for r, p, v in zip(outcome.held_out_rows, outcome.predicted, outcome.truth)
         ],
     }
-    with open(args.out, "w") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
+    _write_json(args.out, doc)
     print(f"accuracy_error={outcome.accuracy_error:.4f} over {doc['n_held_out']} held-out labels")
     return 0
 

@@ -14,7 +14,6 @@ import numpy as np
 
 from . import compute as C
 from .kinds import (  # noqa: F401  (the parameter variants and VAR_FLOOR are re-exported)
-    LOG_2PI,
     VAR_FLOOR,
     CategoricalParams,
     LikelihoodParams,
@@ -79,16 +78,6 @@ def build_generative(
     )
 
 
-def prior_log_density(nets: GenerativeNets, z, s_soft) -> C.Tensor:
-    """log N(z | s_soft . prior_mu_table, I) per row; uniform mixture weights."""
-    z = z if isinstance(z, C.Tensor) else C.constant(np.atleast_2d(z))
-    s_soft = s_soft if isinstance(s_soft, C.Tensor) else C.constant(np.atleast_2d(s_soft))
-    mu = C.matmul(s_soft, nets.prior_mu_table)
-    diff = z - mu
-    k = nets.dim_z
-    return -0.5 * k * LOG_2PI - 0.5 * C.tsum(diff * diff, axis=1)
-
-
 def decode(
     nets: GenerativeNets, latent: LatentSample, stats: NormalizationStats
 ) -> list[LikelihoodParams]:
@@ -117,11 +106,6 @@ def log_likelihood(params: LikelihoodParams, x) -> C.Tensor:
 def mode(params: LikelihoodParams) -> np.ndarray:
     """Most probable value per row (ties on discrete kinds -> lowest index)."""
     return params.mode()
-
-
-def sample(params: LikelihoodParams, rng) -> np.ndarray:
-    """One draw per row from the parameterized distribution."""
-    return params.sample(rng)
 
 
 def params_summary(params: LikelihoodParams, rows: np.ndarray) -> list[dict]:

@@ -69,7 +69,7 @@ def impute_sample(
     params = R.posterior(model.encoder, table, mask, model.stats, range(table.n_rows))
     latent = R.sample_latent(params, model.config.tau_end, rng)
     liks = G.decode(model.generative, latent, model.stats)
-    values = [G.sample(lik, rng) for lik in liks]
+    values = [lik.sample(rng) for lik in liks]
     return _fill(table, mask, values, "sample", liks)
 
 

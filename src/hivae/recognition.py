@@ -19,7 +19,6 @@ import numpy as np
 
 from . import compute as C
 from .tabular import (
-    EncodedBatch,
     HeterogeneousTable,
     MissingMask,
     NormalizationStats,
@@ -29,10 +28,6 @@ from .tabular import (
 
 INPUT_DROPOUT = "input_dropout"
 FACTORIZED = "factorized"
-
-
-class ConfigError(ValueError):
-    """Inconsistent encoder configuration."""
 
 
 @dataclass
@@ -58,17 +53,8 @@ class EncoderNets:
 def build_encoder(
     schema: Schema, dim_s: int, dim_z: int, layers: int, mode: str, rng
 ) -> EncoderNets:
-    width = schema.encoded_width
-    if mode == INPUT_DROPOUT:
-        return EncoderNets(
-            mode=mode,
-            dim_z=dim_z,
-            s_layers=C.init_stack(width, dim_s, layers, rng),
-            z_layers=C.init_stack(width + dim_s, 2 * dim_z, layers, rng),
-        )
+    """Nets for a mode and dim_s that TrainConfig has already checked."""
     if mode == FACTORIZED:
-        if dim_s != 1:
-            raise ConfigError("factorized encoder does not model s; requires dim_s = 1")
         return EncoderNets(
             mode=mode,
             dim_z=dim_z,
@@ -77,13 +63,13 @@ def build_encoder(
                 for col in schema.columns
             ],
         )
-    raise ConfigError(f"unknown encoder mode {mode!r}")
-
-
-def s_logits(nets: EncoderNets, x_tilde: C.Tensor) -> C.Tensor:
-    if nets.mode != INPUT_DROPOUT:
-        raise ConfigError("mixture logits only exist for the input-dropout encoder")
-    return C.forward_stack(nets.s_layers, x_tilde)
+    width = schema.encoded_width
+    return EncoderNets(
+        mode=mode,
+        dim_z=dim_z,
+        s_layers=C.init_stack(width, dim_s, layers, rng),
+        z_layers=C.init_stack(width + dim_s, 2 * dim_z, layers, rng),
+    )
 
 
 def z_params(nets: EncoderNets, x_tilde: C.Tensor, s: C.Tensor) -> tuple[C.Tensor, C.Tensor]:
@@ -126,17 +112,14 @@ def hard_assignment(s_logits_values: np.ndarray) -> np.ndarray:
     return out
 
 
-def encode(nets: EncoderNets, x_tilde) -> RecognitionParams:
-    """Run the input-dropout encoder on encoded rows.
+def encode(nets: EncoderNets, encoded: np.ndarray) -> RecognitionParams:
+    """Run the input-dropout encoder on encoded rows (an encode_inputs array).
 
     Only the mixture logits are computed here; the z-net runs when a caller
     conditions on a chosen s (sample_latent, map_latent).
     """
-    if isinstance(x_tilde, EncodedBatch):
-        x_tilde = C.constant(x_tilde.values)
-    elif not isinstance(x_tilde, C.Tensor):
-        x_tilde = C.constant(np.atleast_2d(np.asarray(x_tilde, dtype=np.float64)))
-    logits = s_logits(nets, x_tilde)
+    x_tilde = C.constant(encoded)
+    logits = C.forward_stack(nets.s_layers, x_tilde)
 
     def conditioner(s_new: C.Tensor) -> tuple[C.Tensor, C.Tensor]:
         return z_params(nets, x_tilde, s_new)
@@ -184,11 +167,8 @@ def encode_factorized(
     precision = I + sum_observed precision_d, mean = cov * sum_observed
     (mu_d * precision_d); an empty observation set returns the N(0, I) prior.
     """
-    if nets.mode != FACTORIZED:
-        raise ConfigError("encoder was not built in factorized mode")
     rows = np.asarray(list(rows), dtype=np.intp)
-    batch = encode_inputs(table, mask, stats, rows)
-    x = C.constant(batch.values)
+    x = C.constant(encode_inputs(table, mask, stats, rows))
     B, K = rows.size, nets.dim_z
 
     precision_acc = C.constant(np.ones((B, K)))

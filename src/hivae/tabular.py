@@ -195,17 +195,6 @@ class NormalizationStats:
         return st
 
 
-@dataclass(frozen=True)
-class EncodedBatch:
-    """Zero-filled encoder input: one row per selected table row."""
-
-    schema: Schema
-    values: np.ndarray  # (batch, encoded_width)
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _freeze(np.asarray(self.values, dtype=np.float64)))
-
-
 def fit_normalization(
     table: HeterogeneousTable, mask: MissingMask, batch_rows
 ) -> NormalizationStats:
@@ -252,8 +241,9 @@ def encode_inputs(
     mask: MissingMask,
     stats: NormalizationStats,
     rows,
-) -> EncodedBatch:
-    """Build the zero-filled encoder input for the given rows.
+) -> np.ndarray:
+    """Build the zero-filled encoder input for the given rows, a read-only
+    float64 (rows, encoded_width) array.
 
     Each observed cell fills its column's block as its kind encodes it;
     missing cells leave their whole block at zero, so the result depends only
@@ -271,7 +261,7 @@ def encode_inputs(
         st = None if col.is_nominal else stats.require(d)
         block = col.kind_class.encode(table.cells[rows, d][obs], st, col.cardinality)
         out[obs, off : off + width] = block
-    return EncodedBatch(table.schema, out)
+    return _freeze(out)
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,9 @@ The objective per row is
                                         -  KL(q(s | x) || p(s))
 
 estimated with one Gumbel-softmax draw of s and one reparameterized draw of z
-per row.  The Gaussian KL is closed-form at the sampled soft s (an exact
-enumeration over components is available as a debug flag); the categorical KL
-against the uniform mixture prior is analytic.  Missing cells contribute
-nothing to any term.
+per row.  The Gaussian KL is closed-form at the sampled soft s; the
+categorical KL against the uniform mixture prior is analytic.  Missing cells
+contribute nothing to any term.
 """
 
 from __future__ import annotations
@@ -147,14 +146,11 @@ def elbo_batch(
     rows,
     tau: float,
     rng,
-    exact_s_kl: bool = False,
 ) -> C.Tensor:
     """Single-sample ELBO of a set of rows, as a differentiable scalar.
 
     Normalization stats are fitted on this batch (training behaviour); the
-    reconstruction term runs over observed cells only.  With exact_s_kl the
-    Gaussian KL is enumerated over all mixture components instead of being
-    evaluated at the sampled soft assignment (debug aid, dim_s <= 16).
+    reconstruction term runs over observed cells only.
     """
     rows = np.asarray(list(rows), dtype=np.intp)
     if rows.size == 0:
@@ -170,23 +166,8 @@ def elbo_batch(
     ll = C.concat([G.log_likelihood(lik, x[:, d]) for d, lik in enumerate(liks)])
     recon = C.tsum(ll * C.constant(observed.astype(np.float64)))
 
-    if exact_s_kl:
-        L = state.config.dim_s
-        if L > 16:
-            raise ValueError("exact_s_kl enumeration is limited to dim_s <= 16")
-        pi = C.softmax(params.s_logits, axis=1)
-        kl_z = C.constant(0.0)
-        for comp in range(L):
-            e = np.zeros((rows.size, L))
-            e[:, comp] = 1.0
-            e = C.constant(e)
-            mu_c, lv_c = params.conditioner(e)
-            mu_p = C.matmul(e, state.generative.prior_mu_table)
-            kl_z = kl_z + C.tsum(C.narrow(pi, comp, 1) * gaussian_kl(mu_c, lv_c, mu_p))
-    else:
-        mu_p = C.matmul(latent.s_soft, state.generative.prior_mu_table)
-        kl_z = C.tsum(gaussian_kl(latent.z_mu, latent.z_log_var, mu_p))
-
+    mu_p = C.matmul(latent.s_soft, state.generative.prior_mu_table)
+    kl_z = C.tsum(gaussian_kl(latent.z_mu, latent.z_log_var, mu_p))
     kl_s = C.tsum(categorical_kl(params.s_logits))
     return recon - kl_z - kl_s
 
@@ -270,7 +251,8 @@ def save_model(state: ModelState, path) -> None:
         },
     }
     with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True)
+        # dumps runs the C encoder; dump would run the pure-Python one
+        fh.write(json.dumps(doc, sort_keys=True))
         fh.write("\n")
 
 
@@ -328,6 +310,8 @@ def load_model(path) -> ModelState:
                     f"{path}: parameter {name} has shape {values.shape}, "
                     f"expected {tensor.values.shape}"
                 )
+            if not np.isfinite(values).all():
+                raise ModelFormatError(f"{path}: corrupt model file (non-finite parameter {name})")
             tensor.values[...] = values
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ModelFormatError(f"{path}: corrupt model file ({exc})") from None

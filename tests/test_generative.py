@@ -1,4 +1,4 @@
-"""Decoder heads: prior density, parameter mapping, likelihoods, modes, draws."""
+"""Decoder heads: parameter mapping, likelihoods, modes, draws."""
 
 import math
 
@@ -47,32 +47,6 @@ def zero_nets(nets):
                 layer.weights.values[...] = 0.0
                 layer.bias.values[...] = 0.0
     nets.prior_mu_table.values[...] = 0.0
-
-
-class TestPriorLogDensity:
-    def test_peak_of_unit_gaussian(self):
-        schema = Schema((ColumnSpec("r", "real"),))
-        nets = build(schema, dim_s=2, dim_z=1)
-        nets.prior_mu_table.values[...] = [[0.7], [-0.3]]
-        val = G.prior_log_density(nets, [[0.7]], [[1.0, 0.0]]).values
-        assert val[0] == pytest.approx(-0.5 * math.log(2 * math.pi))
-
-    def test_single_component_zero_embedding_is_standard_prior(self):
-        schema = Schema((ColumnSpec("r", "real"),))
-        nets = build(schema, dim_s=1, dim_z=3)
-        nets.prior_mu_table.values[...] = 0.0
-        z = np.array([[0.5, -1.0, 2.0]])
-        val = G.prior_log_density(nets, z, [[1.0]]).values[0]
-        expected = -1.5 * math.log(2 * math.pi) - 0.5 * float(np.sum(z**2))
-        assert val == pytest.approx(expected)
-
-    def test_soft_assignment_interpolates_means(self):
-        schema = Schema((ColumnSpec("r", "real"),))
-        nets = build(schema, dim_s=2, dim_z=1)
-        a = 1.3
-        nets.prior_mu_table.values[...] = [[a], [-a]]
-        val = G.prior_log_density(nets, [[0.0]], [[0.5, 0.5]]).values[0]
-        assert val == pytest.approx(-0.5 * math.log(2 * math.pi))
 
 
 class TestDecode:
@@ -237,17 +211,17 @@ class TestMode:
 class TestSample:
     def test_floored_variance_collapses(self):
         params = G.NormalParams(C.constant([[5.0]]), C.constant([[G.VAR_FLOOR]]))
-        draw = G.sample(params, np.random.default_rng(0))
+        draw = params.sample(np.random.default_rng(0))
         assert draw[0] == pytest.approx(5.0, abs=1e-2)
 
     def test_deterministic_categorical(self):
         params = G.CategoricalParams(C.constant(np.tile([1.0, 0.0, 0.0], (100, 1))))
-        draws = G.sample(params, np.random.default_rng(1))
+        draws = params.sample(np.random.default_rng(1))
         assert np.all(draws == 0.0)
 
     def test_poisson_monte_carlo_mean(self):
         params = G.PoissonParams(C.constant(np.full((100_000, 1), 4.0)))
-        draws = G.sample(params, np.random.default_rng(2))
+        draws = params.sample(np.random.default_rng(2))
         assert abs(draws.mean() - 4.0) < 0.05
 
     def test_ordinal_draw_histogram(self):
@@ -257,6 +231,6 @@ class TestSample:
             C.constant(np.tile([0.0, 1.0], (50_000, 1))),
             C.constant(np.zeros((50_000, 1))),
         )
-        draws = G.sample(params, np.random.default_rng(3))
+        draws = params.sample(np.random.default_rng(3))
         freq = np.bincount(draws.astype(int), minlength=3) / 50_000
         assert np.allclose(freq, probs, atol=0.01)

@@ -1,7 +1,6 @@
 """Encoder behaviour: missing-blindness, sampling, MAP, factorized fusion."""
 
 import numpy as np
-import pytest
 
 from hivae import compute as C
 from hivae import recognition as R
@@ -146,11 +145,6 @@ def factorized_setup(n_cols=2, dim_z=3, seed=0):
 
 
 class TestFactorized:
-    def test_requires_single_component(self):
-        schema, _ = factorized_setup()
-        with pytest.raises(R.ConfigError):
-            R.build_encoder(schema, 2, 3, 1, R.FACTORIZED, np.random.default_rng(0))
-
     def test_empty_observation_set_returns_prior(self):
         schema, nets = factorized_setup()
         table = HeterogeneousTable(schema, np.zeros((3, 2)))

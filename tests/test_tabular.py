@@ -218,21 +218,32 @@ class TestEncoding:
         mask = MissingMask(np.ones((2, 1), dtype=bool))
         stats = fit_normalization(table, mask, [0, 1])
         enc = encode_inputs(table, mask, stats, [0])
-        assert enc.values[0, 0] == 0.0
+        assert enc[0, 0] == 0.0
+
+    def test_returns_read_only_float64_array(self, mixed_table):
+        table, mask = mixed_table
+        stats = fit_normalization(table, mask, range(table.n_rows))
+        enc = encode_inputs(table, mask, stats, [2, 0, 1])
+        assert type(enc) is np.ndarray
+        assert enc.dtype == np.float64
+        assert enc.shape == (3, table.schema.encoded_width)
+        assert not enc.flags.writeable
+        with pytest.raises(ValueError):
+            enc[0, 0] = 1.0
 
     def test_ordinal_thermometer(self):
         schema = Schema((ColumnSpec("o", "ordinal", 3),))
         table = HeterogeneousTable(schema, np.array([[1.0]]))
         mask = MissingMask(np.ones((1, 1), dtype=bool))
         enc = encode_inputs(table, mask, fit_normalization(table, mask, [0]), [0])
-        assert enc.values[0].tolist() == [1.0, 1.0, 0.0]
+        assert enc[0].tolist() == [1.0, 1.0, 0.0]
 
     def test_missing_categorical_is_zero_block(self):
         schema = Schema((ColumnSpec("c", "cat", 4),))
         table = HeterogeneousTable(schema, np.array([[2.0]]))
         mask = MissingMask(np.array([[False]]))
         enc = encode_inputs(table, mask, fit_normalization(table, mask, [0]), [0])
-        assert enc.values[0].tolist() == [0.0, 0.0, 0.0, 0.0]
+        assert enc[0].tolist() == [0.0, 0.0, 0.0, 0.0]
 
     @given(
         kind_card=st.sampled_from([("cat", 2), ("cat", 5), ("ordinal", 3), ("ordinal", 6)]),
@@ -245,7 +256,7 @@ class TestEncoding:
         schema = Schema((ColumnSpec("x", kind, card),))
         table = HeterogeneousTable(schema, np.array([[float(cls)]]))
         mask = MissingMask(np.array([[True]]))
-        slots = encode_inputs(table, mask, fit_normalization(table, mask, [0]), [0]).values[0]
+        slots = encode_inputs(table, mask, fit_normalization(table, mask, [0]), [0])[0]
         if kind == "cat":
             assert int(np.argmax(slots)) == cls and slots.sum() == 1.0
         else:
@@ -261,7 +272,7 @@ class TestEncoding:
         cells[~mask.observed] = 123.0  # junk that stays type-invalid on purpose
         perturbed = HeterogeneousTable(table.schema, cells)
         again = encode_inputs(perturbed, mask, stats, range(table.n_rows))
-        assert np.array_equal(base.values, again.values)
+        assert np.array_equal(base, again)
 
     def test_observed_batch_standardizes_to_unit_moments(self, mixed_table):
         table, mask = mixed_table
@@ -274,6 +285,6 @@ class TestEncoding:
             obs = mask.observed[rows, d]
             if obs.sum() < 2 or stats.require(d).scale <= SCALE_FLOOR:
                 continue
-            slots = enc.values[obs, off]
+            slots = enc[obs, off]
             assert abs(slots.mean()) < 1e-9
             assert abs(slots.std() - 1.0) < 1e-9

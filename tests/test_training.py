@@ -109,27 +109,6 @@ class TestElboBatch:
         for a, n in zip(analytic, numeric):
             assert max_rel_err(a, n) < 1e-3
 
-    def test_exact_enumeration_close_to_sampled_kl_in_expectation(self):
-        table = B.synthetic_table(20, seed=3)
-        mask = B.generate_mcar_mask(table, 0.2, seed=4)
-        config = T.TrainConfig(dim_z=2, dim_s=3, dim_y=2, epochs=1, batch_size=20, seed=0)
-        state = T.build_model(table.schema, config, np.random.default_rng(5))
-        exact = float(
-            T.elbo_batch(state, table, mask, range(20), 0.5, np.random.default_rng(9), exact_s_kl=True).values
-        )
-        assert math.isfinite(exact)
-        with pytest.raises(ValueError):
-            big = T.TrainConfig(dim_z=2, dim_s=17, dim_y=2, epochs=1, batch_size=20, seed=0)
-            T.elbo_batch(
-                T.build_model(table.schema, big, np.random.default_rng(0)),
-                table,
-                mask,
-                range(20),
-                0.5,
-                np.random.default_rng(9),
-                exact_s_kl=True,
-            )
-
     def test_one_z_net_forward_per_elbo_and_per_map_imputation(self, small_synthetic, monkeypatch):
         table, mask = small_synthetic
         config = T.TrainConfig(dim_z=2, dim_s=3, dim_y=2, epochs=1, batch_size=20, seed=0)
@@ -351,6 +330,10 @@ class TestTrain:
         with pytest.raises(ValueError, match="dim_s"):
             T.TrainConfig(dim_s=2, encoder_mode="factorized")
 
+    def test_unknown_encoder_mode_rejected(self):
+        with pytest.raises(ValueError, match="encoder_mode"):
+            T.TrainConfig(encoder_mode="bogus")
+
     def test_two_layer_variant_trains_with_correct_gradients(self):
         table = B.synthetic_table(4, seed=3)
         mask = B.generate_mcar_mask(table, 0.3, seed=4)
@@ -465,6 +448,39 @@ class TestPersistence:
             stats[0][2] = "log"
         path.write_text(json.dumps(doc))
         with pytest.raises(T.ModelFormatError, match="corrupt"):
+            T.load_model(path)
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_parameter_is_corrupt(self, small_synthetic, tmp_path, capsys, token):
+        table, mask = small_synthetic
+        config = T.TrainConfig(dim_z=2, dim_s=2, dim_y=2, epochs=1, batch_size=20, seed=0)
+        path = tmp_path / "model.json"
+        T.save_model(T.train(table, mask, config), path)
+        doc = json.loads(path.read_text())
+        doc["params"]["gen.g.0.b"]["values"][0] = float(token)
+        path.write_text(json.dumps(doc))
+        assert token in path.read_text()  # json writes the bare token json.load accepts
+        with pytest.raises(T.ModelFormatError, match=r"corrupt.*gen\.g\.0\.b"):
+            T.load_model(path)
+        write_table(table, tmp_path / "d.csv", mask)
+        (tmp_path / "t.csv").write_text(
+            "".join(f"{c.name},{c.kind},{c.cardinality}\n" for c in table.schema.columns)
+        )
+        code = main(["impute", "--model", str(path), "--data", str(tmp_path / "d.csv"),
+                     "--types", str(tmp_path / "t.csv"), "--out", str(tmp_path / "out.csv")])
+        assert code == 2
+        assert "corrupt" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_unknown_encoder_mode_is_corrupt(self, small_synthetic, tmp_path):
+        table, mask = small_synthetic
+        config = T.TrainConfig(dim_z=2, dim_s=2, dim_y=2, epochs=1, batch_size=20, seed=0)
+        path = tmp_path / "model.json"
+        T.save_model(T.train(table, mask, config), path)
+        doc = json.loads(path.read_text())
+        doc["config"]["encoder_mode"] = "bogus"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(T.ModelFormatError, match="corrupt.*encoder_mode"):
             T.load_model(path)
 
     def test_version_mismatch(self, small_synthetic, tmp_path):
