@@ -144,7 +144,7 @@ def score_imputation(
     """
     mask.check_shape(truth)
     if truth.cells.shape != imputed.cells.shape:
-        raise ValueError("truth/imputed shape mismatch")
+        raise DataError(f"imputed shape {imputed.cells.shape} != truth shape {truth.cells.shape}")
     if not np.array_equal(truth.cells[mask.observed], imputed.cells[mask.observed]):
         raise AssertionError("observed cells were modified by the imputation")
 

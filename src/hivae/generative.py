@@ -88,9 +88,8 @@ def decode(
     for d, head in enumerate(nets.heads):
         y_d = C.narrow(Y, d * nets.dim_y, nets.dim_y)
         loc = C.forward_stack(head.loc_layers, C.concat([y_d, s]))
-        scale = C.forward_stack(head.scale_layers, s) if head.scale_layers else None
-        st = None if head.kind.nominal else stats.require(d)
-        out.append(head.kind.from_head(loc, scale, st))
+        raw_scale = C.forward_stack(head.scale_layers, s) if head.scale_layers else None
+        out.append(head.kind.from_head(loc, raw_scale, stats.shift[d], stats.scale[d]))
     return out
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from . import generative as G
 from . import recognition as R
 # encode_inputs is bound here so the benchmark tracer wraps this lookup site
-from .tabular import HeterogeneousTable, MissingMask, encode_inputs  # noqa: F401
+from .tabular import DataError, HeterogeneousTable, MissingMask, encode_inputs  # noqa: F401
 from .training import ModelState, TrainConfig, require_schema, train
 
 
@@ -104,6 +104,8 @@ def predict_target(
     mask.check_shape(table)
 
     eligible = np.flatnonzero(mask.observed[:, t])
+    if eligible.size == 0:
+        raise DataError(f"target column {target_column!r} has no observed labels")
     n_visible = min(math.ceil(table.n_rows * train_fraction), eligible.size)
     order = rng.permutation(eligible)
     held_out = np.sort(order[n_visible:])

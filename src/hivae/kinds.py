@@ -10,7 +10,9 @@ Class attributes and classmethods are the column rules: nominal or not, encoder
 width and block (standardized slot, one-hot or thermometer), transform and its
 domain, support, CSV cell format, decoder head widths (location, scale) and the
 step from head outputs to parameters, missing-cell stand-in, mean/mode baseline
-and metric.  An instance holds one decoded distribution per batch row.
+and metric.  ``encode`` and ``from_head`` take the column's normalization shift
+and scale, which the nominal kinds ignore.  An instance holds one decoded
+distribution per batch row.
 """
 
 from __future__ import annotations
@@ -50,9 +52,9 @@ class _Kind:
         return cardinality if cls.nominal else 1
 
     @classmethod
-    def encode(cls, values: np.ndarray, st, cardinality: int) -> np.ndarray:
+    def encode(cls, values: np.ndarray, shift, scale, cardinality: int) -> np.ndarray:
         """Encoder block of observed values: the standardized transform."""
-        return ((cls.transform(values) - st.shift) / st.scale)[:, None]
+        return ((cls.transform(values) - shift) / scale)[:, None]
 
     @classmethod
     def _checked(cls, x: np.ndarray, cardinality: int = 0) -> np.ndarray:
@@ -79,9 +81,9 @@ class NormalParams(_Kind):
     summary_keys = ("mean", "var")
 
     @classmethod
-    def from_head(cls, loc: C.Tensor, scale: C.Tensor, st):
-        raw_var = C.clip(C.softplus(scale), lo=VAR_FLOOR)
-        return cls(loc * st.scale + st.shift, raw_var * (st.scale**2))
+    def from_head(cls, loc: C.Tensor, raw_scale: C.Tensor, shift, scale):
+        raw_var = C.clip(C.softplus(raw_scale), lo=VAR_FLOOR)
+        return cls(loc * scale + shift, raw_var * (scale**2))
 
     def log_prob(self, x) -> C.Tensor:
         diff = C.constant(_column(x)) - self.mu
@@ -141,7 +143,7 @@ class PoissonParams(_Kind):
         return float(np.floor(float(np.mean(values)) + 0.5)), "mean"  # rounded half-up
 
     @classmethod
-    def from_head(cls, loc: C.Tensor, scale, st):
+    def from_head(cls, loc: C.Tensor, raw_scale, shift, scale):
         return cls(C.clip(C.softplus(loc), lo=RATE_FLOOR))
 
     def log_prob(self, x) -> C.Tensor:
@@ -172,7 +174,7 @@ class CategoricalParams(_Kind):
     block_rule = staticmethod(np.equal)  # slot j of class r is set where rule(j, r): one-hot
 
     @classmethod
-    def encode(cls, values: np.ndarray, st, cardinality: int) -> np.ndarray:
+    def encode(cls, values: np.ndarray, shift, scale, cardinality: int) -> np.ndarray:
         slots, classes = np.arange(cardinality)[None, :], values.astype(np.intp)[:, None]
         return cls.block_rule(slots, classes).astype(np.float64)
 
@@ -182,14 +184,14 @@ class CategoricalParams(_Kind):
         return float(np.argmax(counts)), "mode"  # ties to the lowest index
 
     @classmethod
-    def from_head(cls, loc: C.Tensor, scale, st):
+    def from_head(cls, loc: C.Tensor, raw_scale, shift, scale):
         zeros = C.constant(np.zeros((loc.values.shape[0], 1)))
         return cls(C.softmax(C.concat([zeros, loc]), axis=1))
 
     def log_prob(self, x) -> C.Tensor:
         R = self.probs.values.shape[1]
         classes = self._checked(np.asarray(x, dtype=np.intp), R)
-        one_hot = CategoricalParams.encode(classes, None, R)  # one-hot for ordinals too
+        one_hot = CategoricalParams.encode(classes, 0.0, 1.0, R)  # one-hot for ordinals too
         picked = C.log(C.clip(self.probs, lo=PROB_FLOOR)) * C.constant(one_hot)
         return C.tsum(picked, axis=1, keepdims=True)
 
@@ -218,8 +220,8 @@ class OrdinalParams(CategoricalParams):
     block_rule = staticmethod(np.less_equal)  # thermometer: class r sets slots 0..r
 
     @classmethod
-    def from_head(cls, loc: C.Tensor, scale: C.Tensor, st):
-        thresholds = C.cumsum(C.clip(C.softplus(scale), lo=GAP_FLOOR), axis=1)
+    def from_head(cls, loc: C.Tensor, raw_scale: C.Tensor, shift, scale):
+        thresholds = C.cumsum(C.clip(C.softplus(raw_scale), lo=GAP_FLOOR), axis=1)
         cdf = C.sigmoid(thresholds - loc)
         B = loc.values.shape[0]
         ones = C.constant(np.ones((B, 1)))

@@ -167,7 +167,7 @@ def encode_factorized(
     precision = I + sum_observed precision_d, mean = cov * sum_observed
     (mu_d * precision_d); an empty observation set returns the N(0, I) prior.
     """
-    rows = np.asarray(list(rows), dtype=np.intp)
+    rows = np.asarray(rows, dtype=np.intp)
     x = C.constant(encode_inputs(table, mask, stats, rows))
     B, K = rows.size, nets.dim_z
 

@@ -174,25 +174,16 @@ class MissingMask:
 
 
 @dataclass(frozen=True)
-class ColumnStats:
-    """Shift/scale for one numeric column, in its transform domain."""
-
-    shift: float
-    scale: float
-    domain: str  # "raw" (real), "log" (pos), "log1p" (count)
-
-
-@dataclass(frozen=True)
 class NormalizationStats:
-    """Per-column stats; None for nominal columns, which are never normalized."""
+    """Per-column shift and scale in each column's transform domain, read-only
+    float64 arrays of shape (D,); nominal columns, never normalized, hold (0, 1)."""
 
-    per_column: tuple[ColumnStats | None, ...]
+    shift: np.ndarray
+    scale: np.ndarray
 
-    def require(self, col: int) -> ColumnStats:
-        st = self.per_column[col]
-        if st is None:
-            raise DataError(f"column {col} is nominal and has no normalization stats")
-        return st
+    def __post_init__(self):
+        for name in ("shift", "scale"):
+            object.__setattr__(self, name, _freeze(np.array(getattr(self, name), dtype=np.float64)))
 
 
 def fit_normalization(
@@ -204,36 +195,24 @@ def fit_normalization(
     with no observed cell in the batch fall back to (0, 1); near-constant
     columns have their scale floored at SCALE_FLOOR.
     """
-    rows = np.asarray(list(batch_rows), dtype=np.intp)
+    rows = np.asarray(batch_rows, dtype=np.intp)
     if rows.size == 0:
         raise ValueError("batch_rows must be nonempty")
     mask.check_shape(table)
-    stats: list[ColumnStats | None] = []
+    shift, scale = np.zeros(table.n_cols), np.ones(table.n_cols)
     for d, col in enumerate(table.schema.columns):
-        kind = col.kind_class
-        if kind.nominal:
-            stats.append(None)
+        if col.is_nominal:
             continue
-        obs = mask.observed[rows, d]
-        vals = table.cells[rows, d][obs]
-        if vals.size == 0:
-            stats.append(ColumnStats(0.0, 1.0, kind.domain))
-            continue
-        t = kind.transform(vals)
-        shift = float(np.mean(t))
-        scale = float(max(np.std(t), SCALE_FLOOR))
-        stats.append(ColumnStats(shift, scale, kind.domain))
-    return NormalizationStats(tuple(stats))
+        vals = table.cells[rows, d][mask.observed[rows, d]]
+        if vals.size:
+            t = col.kind_class.transform(vals)
+            shift[d], scale[d] = np.mean(t), max(np.std(t), SCALE_FLOOR)
+    return NormalizationStats(shift, scale)
 
 
 def identity_stats(schema: Schema) -> NormalizationStats:
-    """(0, 1) stats for every numeric column; used when normalization is off."""
-    return NormalizationStats(
-        tuple(
-            None if c.is_nominal else ColumnStats(0.0, 1.0, c.kind_class.domain)
-            for c in schema.columns
-        )
-    )
+    """(0, 1) stats for every column; used when normalization is off."""
+    return NormalizationStats(np.zeros(len(schema)), np.ones(len(schema)))
 
 
 def encode_inputs(
@@ -249,7 +228,7 @@ def encode_inputs(
     missing cells leave their whole block at zero, so the result depends only
     on observed values.
     """
-    rows = np.asarray(list(rows), dtype=np.intp)
+    rows = np.asarray(rows, dtype=np.intp)
     mask.check_shape(table)
     out = np.zeros((rows.size, table.schema.encoded_width))
     for d, (col, (off, width)) in enumerate(
@@ -258,8 +237,8 @@ def encode_inputs(
         obs = mask.observed[rows, d]
         if not obs.any():
             continue
-        st = None if col.is_nominal else stats.require(d)
-        block = col.kind_class.encode(table.cells[rows, d][obs], st, col.cardinality)
+        values = table.cells[rows, d][obs]
+        block = col.kind_class.encode(values, stats.shift[d], stats.scale[d], col.cardinality)
         out[obs, off : off + width] = block
     return _freeze(out)
 

@@ -25,7 +25,6 @@ from . import recognition as R
 from .tabular import (
     SCALE_FLOOR,
     ColumnSpec,
-    ColumnStats,
     HeterogeneousTable,
     MissingMask,
     NormalizationStats,
@@ -152,7 +151,7 @@ def elbo_batch(
     Normalization stats are fitted on this batch (training behaviour); the
     reconstruction term runs over observed cells only.
     """
-    rows = np.asarray(list(rows), dtype=np.intp)
+    rows = np.asarray(rows, dtype=np.intp)
     if rows.size == 0:
         raise ValueError("rows must be nonempty")
     stats = _batch_stats(state, table, mask, rows)
@@ -198,8 +197,7 @@ def train(
     mask.check_shape(table)
     rng = np.random.default_rng(config.seed)
     state = build_model(table.schema, config, rng)
-    if config.normalization:
-        state.stats = fit_normalization(table, mask, range(table.n_rows))
+    state.stats = _batch_stats(state, table, mask, range(table.n_rows))
 
     named = named_parameters(state)
     params = list(named.values())
@@ -241,8 +239,8 @@ def save_model(state: ModelState, path) -> None:
         "schema": [[c.name, c.kind, c.cardinality] for c in state.schema.columns],
         "schema_fingerprint": state.fingerprint(),
         "stats": [
-            None if st is None else [st.shift, st.scale, st.domain]
-            for st in state.stats.per_column
+            None if c.is_nominal else [shift, scale, c.kind_class.domain]
+            for c, shift, scale in zip(state.schema.columns, state.stats.shift, state.stats.scale)
         ],
         "training_log": [[int(e), float(t), float(v)] for e, t, v in state.training_log],
         "params": {
@@ -256,17 +254,18 @@ def save_model(state: ModelState, path) -> None:
         fh.write("\n")
 
 
-def _stats_fit(st: ColumnStats | None, col: ColumnSpec) -> bool:
-    """Whether save_model could have written these stats for this column: null
-    for a nominal column, else a finite shift, a finite scale of at least
-    SCALE_FLOOR and the kind's transform domain."""
-    if st is None:
+def _stats_fit(entry: list | None, col: ColumnSpec) -> bool:
+    """Whether save_model could have written this stats entry for this column:
+    null for a nominal column, else [shift, scale, domain] with a finite shift,
+    a finite scale of at least SCALE_FLOOR and the kind's transform domain."""
+    if entry is None:
         return col.is_nominal
+    shift, scale, domain = entry
     return (
         not col.is_nominal
-        and math.isfinite(st.shift)
-        and SCALE_FLOOR <= st.scale < math.inf
-        and st.domain == col.kind_class.domain
+        and math.isfinite(shift)
+        and SCALE_FLOOR <= scale < math.inf
+        and domain == col.kind_class.domain
     )
 
 
@@ -286,18 +285,12 @@ def load_model(path) -> ModelState:
             )
         schema = Schema(tuple(ColumnSpec(n, k, c) for n, k, c in doc["schema"]))
         config = TrainConfig(**doc["config"])
-        stats = NormalizationStats(
-            tuple(
-                None if st is None else ColumnStats(st[0], st[1], st[2])
-                for st in doc["stats"]
-            )
-        )
-        if len(stats.per_column) != len(schema) or not all(
-            map(_stats_fit, stats.per_column, schema.columns)
-        ):
+        entries = doc["stats"]
+        if len(entries) != len(schema) or not all(map(_stats_fit, entries, schema.columns)):
             raise ModelFormatError(f"{path}: corrupt model file (stats do not match schema)")
         state = build_model(schema, config, np.random.default_rng(0))
-        state.stats = stats
+        pairs = [(0.0, 1.0) if e is None else e[:2] for e in entries]
+        state.stats = NormalizationStats(*zip(*pairs))
         state.training_log = [(int(e), float(t), float(v)) for e, t, v in doc["training_log"]]
         named = named_parameters(state)
         if set(named) != set(doc["params"]):

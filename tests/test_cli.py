@@ -2,11 +2,12 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from hivae import benchmark as B
 from hivae.cli import main
-from hivae.tabular import write_mask, write_table
+from hivae.tabular import MissingMask, write_mask, write_table
 
 TYPES = "real_a,real\nreal_b,real\npos_a,pos\ncount_a,count\ncat_a,cat,3\ncat_b,cat,3\nord_a,ordinal,4\n"
 
@@ -200,6 +201,22 @@ class TestEvaluate:
         assert code == 2
         assert "flat" in capsys.readouterr().err
 
+    def test_row_count_mismatch_exits_2(self, tmp_path, capsys):
+        types = tmp_path / "t.csv"
+        types.write_text("x,real\n")
+        truth = tmp_path / "truth.csv"
+        truth.write_text("1.0\n2.0\n3.0\n")
+        imputed = tmp_path / "imp.csv"
+        imputed.write_text("1.0\n2.0\n")
+        maskf = tmp_path / "m.csv"
+        maskf.write_text("1\n0\n1\n")
+        out = tmp_path / "r.json"
+        code = main(["evaluate", "--truth", str(truth), "--imputed", str(imputed),
+                     "--types", str(types), "--mask", str(maskf), "--out", str(out)])
+        assert code == 2
+        assert "shape" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestBenchmark:
     def test_incomplete_data_file_exits_2(self, tmp_path):
@@ -251,6 +268,21 @@ class TestPredict:
         code = main(["predict", "--data", data, "--types", types, "--target", "nope",
                      "--out", str(tmp_path / "p.json"), *FAST])
         assert code == 1
+
+    def test_target_without_observed_labels_exits_2(self, tmp_path, capsys):
+        table = B.separable_table(20, seed=2)
+        data = tmp_path / "sep.csv"
+        observed = np.ones(table.cells.shape, dtype=bool)
+        observed[:, 2] = False
+        write_table(table, data, MissingMask(observed))
+        types = tmp_path / "sep_types.csv"
+        types.write_text("feat_x,real\nfeat_y,real\nlabel,cat,3\n")
+        out = tmp_path / "pred.json"
+        code = main(["predict", "--data", str(data), "--types", str(types),
+                     "--target", "label", "--out", str(out), *FAST])
+        assert code == 2
+        assert "'label'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_writes_predictions(self, tmp_path):
         table = B.separable_table(60, seed=2)

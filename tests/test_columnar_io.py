@@ -16,7 +16,6 @@ from hivae.cli import main
 from hivae.kinds import KINDS
 from hivae.tabular import (
     ColumnSpec,
-    ColumnStats,
     DataError,
     HeterogeneousTable,
     MissingMask,
@@ -315,7 +314,7 @@ def test_sidecar_bytes_equal_json_dump_with_an_infinite_pos_fill(tmp_path):
     state = T.train(table, mask, T.TrainConfig(dim_z=2, dim_s=2, dim_y=2, epochs=1, batch_size=30))
     # exp(1000 - var) overflows: every pos fill is inf
     state.stats = NormalizationStats(
-        (state.stats.per_column[0], ColumnStats(1000.0, 1.0, "log"), None)
+        (state.stats.shift[0], 1000.0, 0.0), (state.stats.scale[0], 1.0, 1.0)
     )
     T.save_model(state, tmp_path / "m.json")
     out = str(tmp_path / "o.csv")

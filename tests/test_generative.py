@@ -11,7 +11,7 @@ from scipy.special import expit
 from hivae import compute as C
 from hivae import generative as G
 from hivae.recognition import LatentSample
-from hivae.tabular import ColumnSpec, ColumnStats, NormalizationStats, Schema
+from hivae.tabular import ColumnSpec, NormalizationStats, Schema
 
 
 def softplus_inv(y):
@@ -23,14 +23,8 @@ def build(schema, dim_s=2, dim_z=2, dim_y=2, layers=1, seed=0):
 
 
 def unit_stats(schema, shift=0.0, scale=1.0):
-    return NormalizationStats(
-        tuple(
-            ColumnStats(shift, scale, {"real": "raw", "pos": "log", "count": "log1p"}[c.kind])
-            if c.is_numeric
-            else None
-            for c in schema.columns
-        )
-    )
+    numeric = np.array([c.is_numeric for c in schema.columns])
+    return NormalizationStats(np.where(numeric, shift, 0.0), np.where(numeric, scale, 1.0))
 
 
 def latent(nets, s, z):

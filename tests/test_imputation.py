@@ -7,7 +7,7 @@ from scipy.stats import chisquare
 from hivae import benchmark as B
 from hivae import training as T
 from hivae.imputation import impute_map, impute_sample, predict_target
-from hivae.tabular import ColumnSpec, ColumnStats, HeterogeneousTable, MissingMask, NormalizationStats, Schema
+from hivae.tabular import ColumnSpec, HeterogeneousTable, MissingMask, NormalizationStats, Schema
 
 
 def trained_small(table, mask, seed=0, epochs=3):
@@ -41,7 +41,7 @@ class TestImputeMap:
         state = T.build_model(schema, config, np.random.default_rng(0))
         for p in T.named_parameters(state).values():
             p.values[...] = 0.0
-        state.stats = NormalizationStats((ColumnStats(3.0, 2.0, "raw"),))
+        state.stats = NormalizationStats([3.0], [2.0])
         table = HeterogeneousTable(schema, np.array([[0.0], [1.0]]))
         mask = MissingMask(np.array([[False], [True]]))
         result = impute_map(state, table, mask)
@@ -96,9 +96,7 @@ class TestImputeSample:
         # raw variance softplus(0)=ln 2 is not degenerate; push the scale bias down
         for head in state.generative.heads:
             head.scale_layers[0].bias.values[...] = -40.0
-        state.stats = NormalizationStats(
-            (ColumnStats(1.5, 0.5, "raw"), ColumnStats(0.2, 0.3, "log"))
-        )
+        state.stats = NormalizationStats([1.5, 0.2], [0.5, 0.3])
         table = HeterogeneousTable(schema, np.array([[0.0, 1.0]]))
         mask = MissingMask(np.array([[False, False]]))
         map_cells = impute_map(state, table, mask).completed.cells

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hivae import generative as G
@@ -68,7 +68,8 @@ def test_masked_cells_change_neither_encoding_nor_elbo(data):
     table, perturbed, mask, seed = data
     rows = range(table.n_rows)
     stats = fit_normalization(table, mask, rows)
-    assert fit_normalization(perturbed, mask, rows) == stats
+    again = fit_normalization(perturbed, mask, rows)
+    assert np.array_equal(again.shift, stats.shift) and np.array_equal(again.scale, stats.scale)
     assert np.array_equal(
         encode_inputs(table, mask, stats, rows),
         encode_inputs(perturbed, mask, stats, rows),
@@ -145,3 +146,32 @@ def test_trained_model_imputes_in_support_and_survives_a_round_trip(
     again = impute(T.load_model(path))
     assert np.array_equal(again.completed.cells, cells)
     assert again.records() == records
+
+
+@given(datasets())
+@settings(max_examples=10, deadline=None)
+def test_multi_epoch_training_stays_finite_in_support_and_round_trips(tmp_path_factory, data):
+    table, _, mask, seed = data
+    assume(table.n_rows >= 2)  # per-batch stats differ from the full-table stats
+    config = T.TrainConfig(
+        dim_z=2, dim_s=3, dim_y=2, epochs=3, batch_size=(table.n_rows + 1) // 2, seed=seed
+    )
+    model = T.train(table, mask, config)
+    assert [epoch for epoch, _, _ in model.training_log] == [0, 1, 2]
+    assert all(np.isfinite(elbo) for _, _, elbo in model.training_log)
+    full = fit_normalization(table, mask, range(table.n_rows))
+    assert np.array_equal(model.stats.shift, full.shift)
+    assert np.array_equal(model.stats.scale, full.scale)
+
+    result = impute_map(model, table, mask)
+    cells = result.completed.cells
+    assert np.array_equal(cells[mask.observed], table.cells[mask.observed])
+    for d, col in enumerate(table.schema.columns):
+        filled = cells[~mask.observed[:, d], d]
+        assert np.all(np.isfinite(filled))
+        assert not np.any(col.kind_class.unsupported(filled, col.cardinality))
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    T.save_model(model, path)
+    again = impute_map(T.load_model(path), table, mask)
+    assert np.array_equal(again.completed.cells, cells)
+    assert again.records() == result.records()

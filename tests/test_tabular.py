@@ -12,6 +12,7 @@ from hivae.tabular import (
     DataError,
     HeterogeneousTable,
     MissingMask,
+    NormalizationStats,
     SchemaError,
     Schema,
     SCALE_FLOOR,
@@ -175,18 +176,17 @@ class TestNormalization:
         schema = Schema((ColumnSpec("r", "real"),))
         table = HeterogeneousTable(schema, np.array([[1.0], [3.0]]))
         mask = MissingMask(np.ones((2, 1), dtype=bool))
-        st_ = fit_normalization(table, mask, [0, 1]).require(0)
-        assert st_.shift == pytest.approx(2.0)
-        assert st_.scale == pytest.approx(1.0)
+        st_ = fit_normalization(table, mask, [0, 1])
+        assert st_.shift[0] == pytest.approx(2.0)
+        assert st_.scale[0] == pytest.approx(1.0)
 
     def test_pos_stats_in_log_domain(self):
         schema = Schema((ColumnSpec("p", "pos"),))
         table = HeterogeneousTable(schema, np.array([[1.0], [math.e**2]]))
         mask = MissingMask(np.ones((2, 1), dtype=bool))
-        st_ = fit_normalization(table, mask, [0, 1]).require(0)
-        assert st_.shift == pytest.approx(1.0)
-        assert st_.scale == pytest.approx(1.0)
-        assert st_.domain == "log"
+        st_ = fit_normalization(table, mask, [0, 1])
+        assert st_.shift[0] == pytest.approx(1.0)
+        assert st_.scale[0] == pytest.approx(1.0)
 
     def test_constant_column_hits_scale_floor(self):
         # direct computation: the batch stdev of {5,5,5} is exactly 0
@@ -195,15 +195,29 @@ class TestNormalization:
         schema = Schema((ColumnSpec("r", "real"),))
         table = HeterogeneousTable(schema, vals[:, None])
         mask = MissingMask(np.ones((3, 1), dtype=bool))
-        st_ = fit_normalization(table, mask, [0, 1, 2]).require(0)
-        assert st_.scale == SCALE_FLOOR
+        st_ = fit_normalization(table, mask, [0, 1, 2])
+        assert st_.scale[0] == SCALE_FLOOR
 
     def test_unobserved_column_falls_back(self):
         schema = Schema((ColumnSpec("r", "real"),))
         table = HeterogeneousTable(schema, np.array([[7.0], [8.0]]))
         mask = MissingMask(np.zeros((2, 1), dtype=bool))
-        st_ = fit_normalization(table, mask, [0, 1]).require(0)
-        assert (st_.shift, st_.scale) == (0.0, 1.0)
+        st_ = fit_normalization(table, mask, [0, 1])
+        assert (st_.shift[0], st_.scale[0]) == (0.0, 1.0)
+
+    def test_stats_are_read_only_copies_with_nominal_columns_at_identity(self, mixed_table):
+        table, mask = mixed_table
+        shift = np.arange(5.0)
+        stats = NormalizationStats(shift, [1, 2, 3, 4, 5])
+        shift[0] = 99.0
+        assert stats.shift.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+        fitted = fit_normalization(table, mask, range(table.n_rows))
+        for arr in (stats.shift, stats.scale, fitted.shift, fitted.scale):
+            assert arr.dtype == np.float64 and arr.shape == (5,)
+            assert not arr.flags.writeable
+        nominal = [col.is_nominal for col in table.schema.columns]
+        assert fitted.shift[nominal].tolist() == [0.0, 0.0]
+        assert fitted.scale[nominal].tolist() == [1.0, 1.0]
 
     def test_batch_rows_must_be_nonempty(self, mixed_table):
         table, mask = mixed_table
@@ -283,7 +297,7 @@ class TestEncoding:
             if not col.is_numeric:
                 continue
             obs = mask.observed[rows, d]
-            if obs.sum() < 2 or stats.require(d).scale <= SCALE_FLOOR:
+            if obs.sum() < 2 or stats.scale[d] <= SCALE_FLOOR:
                 continue
             slots = enc[obs, off]
             assert abs(slots.mean()) < 1e-9

@@ -38,10 +38,9 @@ class TestElboBatch:
         # zero nets: q(z) = N(0, I) = p(z|s), single component -> both KL terms 0
         # reconstruction: batch-normalized data under N(mean=shift, var=scale^2 * softplus(0))
         stats = T.fit_normalization(table, mask, range(3))
-        st_ = stats.require(0)
-        var = st_.scale**2 * math.log(2.0)
+        var = stats.scale[0] ** 2 * math.log(2.0)
         recon = sum(
-            -0.5 * math.log(2 * math.pi * var) - (x - st_.shift) ** 2 / (2 * var)
+            -0.5 * math.log(2 * math.pi * var) - (x - stats.shift[0]) ** 2 / (2 * var)
             for x in table.cells[:, 0]
         )
         assert elbo == pytest.approx(recon, rel=1e-12)
@@ -425,7 +424,8 @@ class TestPersistence:
             T.load_model(path)
 
     @pytest.mark.parametrize(
-        "corruption", ["truncated", "swapped", "zero_scale", "nan_shift", "wrong_domain"]
+        "corruption",
+        ["truncated", "swapped", "zero_scale", "nan_shift", "wrong_domain", "no_domain"],
     )
     def test_stats_not_matching_schema_are_corrupt(self, small_synthetic, tmp_path, corruption):
         table, mask = small_synthetic
@@ -444,6 +444,8 @@ class TestPersistence:
             stats[0][1] = 0.0
         elif corruption == "nan_shift":
             stats[0][0] = math.nan
+        elif corruption == "no_domain":
+            del stats[0][2]
         else:  # the real column 0 claims the log domain of a pos column
             stats[0][2] = "log"
         path.write_text(json.dumps(doc))
