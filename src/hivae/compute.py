@@ -10,12 +10,14 @@ framework dependency.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import expit
 
 LOG_VAR_CLAMP = 15.0  # |log variance| bound before exponentiation
+LOG_2PI = math.log(2.0 * math.pi)
 
 
 class Tensor:
@@ -275,9 +277,14 @@ def concat(parts, axis=1) -> Tensor:
 
 def narrow(a, start, width, axis=1) -> Tensor:
     """Contiguous slice along an axis."""
+    return take(a, slice(start, start + width), axis)
+
+
+def take(a, index, axis=1) -> Tensor:
+    """The entries at ``index``, a slice or distinct positions, along an axis."""
     a = _lift(a)
     idx = [slice(None)] * a.values.ndim
-    idx[axis] = slice(start, start + width)
+    idx[axis] = index
     idx = tuple(idx)
 
     def back(grad):
@@ -286,6 +293,15 @@ def narrow(a, start, width, axis=1) -> Tensor:
         a.grad[idx] += grad
 
     return _node(a.values[idx], (a,), back)
+
+
+def reshape(a, shape) -> Tensor:
+    a = _lift(a)
+
+    def back(grad):
+        _accumulate(a, grad.reshape(a.values.shape))
+
+    return _node(a.values.reshape(shape), (a,), back)
 
 
 def cumsum(a, axis=1) -> Tensor:
@@ -310,6 +326,83 @@ def log_softmax(a, axis=-1) -> Tensor:
     a = _lift(a)
     shifted = sub(a, constant(a.values.max(axis=axis, keepdims=True)))
     return sub(shifted, log(tsum(exp(shifted), axis=axis, keepdims=True)))
+
+
+def group_dense(x, s, weights, bias) -> Tensor:
+    """G per-column dense layers in one op, (B, G, n_out): column g maps its
+    own input x[:, g] (B, G, n_x) and the shared s (B, n_s) through
+    weights[g] (G, n_x + n_s, n_out), rows :n_x for x and the rest for s, plus
+    bias[g] (G, n_out).  Either input may be None (n_x or n_s = 0).
+
+    The x rows are one batched matmul over G and the s rows one s @ W_s over
+    all G at once, so the (B, G, n_x + n_s) concatenation is never built.
+    """
+    W = weights.values
+    G, _, n_out = W.shape
+    n_x = 0 if x is None else x.values.shape[2]
+    W_x = W[:, :n_x]
+    W_s = W[:, n_x:].transpose(1, 0, 2).reshape(-1, G * n_out)  # (n_s, G * n_out)
+    parts = []
+    if x is not None:
+        parts.append(np.matmul(x.values.transpose(1, 0, 2), W_x).transpose(1, 0, 2))
+    if s is not None:
+        parts.append((s.values @ W_s).reshape(-1, G, n_out))
+
+    def back(grad):
+        flat = grad.reshape(-1, G * n_out)
+        if weights.requires_grad:
+            g_w = np.empty_like(W)
+            if x is not None:
+                g_w[:, :n_x] = np.matmul(x.values.transpose(1, 2, 0), grad.transpose(1, 0, 2))
+            if s is not None:
+                g_w[:, n_x:] = (s.values.T @ flat).reshape(-1, G, n_out).transpose(1, 0, 2)
+            _accumulate(weights, g_w)
+        if bias.requires_grad:
+            _accumulate(bias, grad.sum(axis=0))
+        if x is not None and x.requires_grad:
+            g_x = np.matmul(grad.transpose(1, 0, 2), W_x.transpose(0, 2, 1))
+            _accumulate(x, g_x.transpose(1, 0, 2))
+        if s is not None and s.requires_grad:
+            _accumulate(s, flat @ W_s.T)
+
+    inputs = tuple(t for t in (x, s) if t is not None)
+    # C order, so that reductions over the output's grad run in one order for every caller
+    return _node(np.ascontiguousarray(sum(parts) + bias.values), (*inputs, weights, bias), back)
+
+
+def normal_log_density(x, mu, var) -> Tensor:
+    """log N(x; mu, var) elementwise, for constant x; closed-form backward."""
+    mu, var = _lift(mu), _lift(var)
+    diff = np.asarray(x, dtype=np.float64) - mu.values
+
+    def back(grad):
+        if mu.requires_grad:
+            _accumulate(mu, _unbroadcast(grad * diff / var.values, mu.values.shape))
+        if var.requires_grad:
+            g = grad * 0.5 * (diff * diff / var.values - 1.0) / var.values
+            _accumulate(var, _unbroadcast(g, var.values.shape))
+
+    value = -0.5 * LOG_2PI - 0.5 * np.log(var.values) - diff * diff / (var.values * 2.0)
+    return _node(value, (mu, var), back)
+
+
+def log_softmax_gather(logits, classes) -> Tensor:
+    """log softmax(logits)[..., classes] over the last axis, shape classes.shape.
+
+    Computed from the shifted logits, so a class whose probability underflows
+    still has a finite log-probability and a nonzero gradient.
+    """
+    logits = _lift(logits)
+    shifted = logits.values - logits.values.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=-1, keepdims=True)
+    picked = np.take_along_axis(shifted, classes[..., None], axis=-1)[..., 0]
+
+    def back(grad):
+        one_hot = np.arange(shifted.shape[-1]) == classes[..., None]
+        _accumulate(logits, (one_hot - e / total) * grad[..., None])
+
+    return _node(picked - np.log(total[..., 0]), (logits,), back)
 
 
 def backward(loss: Tensor) -> None:
@@ -345,6 +438,15 @@ def backward(loss: Tensor) -> None:
     for node in reversed(topo):
         if node._backward is not None:
             node._backward(node.grad)
+
+
+def view(t: Tensor, index) -> Tensor:
+    """A leaf whose values and grad are live views of t's at ``index``; t must
+    be a parameter, whose grad is allocated once and updated in place."""
+    v = Tensor(t.values[index])
+    v.requires_grad = True
+    v.grad = t.grad[index]
+    return v
 
 
 def zero_grads(params) -> None:
@@ -409,6 +511,17 @@ def init_stack(n_in: int, n_out: int, layers: int, rng) -> list[DenseLayer]:
 def forward_stack(layers, x: Tensor) -> Tensor:
     for layer in layers:
         x = forward_dense(layer, x)
+    return x
+
+
+def forward_group_stack(layers, x, s) -> Tensor:
+    """A stack of stacked per-column layers (weights (G, n_in, n_out)); the
+    first layer reads x (B, G, n_x) and the shared s, later ones only x."""
+    for layer in layers:
+        x = group_dense(x, s, layer.weights, layer.bias)
+        if layer.activation == "relu":
+            x = relu(x)
+        s = None
     return x
 
 

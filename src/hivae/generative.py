@@ -1,14 +1,21 @@
 """Mixture prior, shared representation, and per-column likelihood heads.
 
 The latent code z maps through one shared dense stack to a homogeneous
-representation split into one slice per column; each column's head reads its
+representation with one dim_y slice per column; each column's head reads its
 slice and the mixture assignment s, and the column's class in ``hivae.kinds``
 turns the head outputs into likelihood parameters for that column's kind.
+
+Columns of one (kind, cardinality) group have heads of one shape, so each
+group's heads are stored stacked, (G, n_in, n_out) per layer, and evaluated
+together; the group's likelihoods are one block of its kind's class.  The
+per-column parameter names stay: each is a live view of its slice of the
+stacked storage.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,16 +30,17 @@ from .kinds import (  # noqa: F401  (the parameter variants and VAR_FLOOR are re
     PoissonParams,
 )
 from .recognition import LatentSample
-from .tabular import NormalizationStats, Schema
+from .tabular import ColumnGroup, NormalizationStats, Schema
 
 
 @dataclass
-class ColumnHead:
-    """Per-column decoder head; scale_layers is None when the kind has no scale."""
+class GroupHead:
+    """The decoder heads of one column group, stacked over its G columns;
+    scale_layers is None when the kind has no scale."""
 
-    kind: type[LikelihoodParams]  # the column's class in hivae.kinds
-    loc_layers: list  # concat(y_d, s) -> location-like outputs
-    scale_layers: list | None  # s -> scale/threshold outputs
+    group: ColumnGroup
+    loc_layers: list  # concat(y_d, s) -> location-like outputs; weights (G, dim_y + dim_s, n_out)
+    scale_layers: list | None  # s -> scale/threshold outputs; weights (G, dim_s, n_out)
 
 
 @dataclass
@@ -41,34 +49,66 @@ class GenerativeNets:
     dim_y: int
     prior_mu_table: C.Tensor  # (L, K) component means of the mixture prior
     g_layers: list  # z -> D * dim_y shared representation
-    heads: list[ColumnHead]
+    heads: list[GroupHead]
+    _named: dict = field(init=False, repr=False)
+
+    def __post_init__(self):
+        """Name each column's slice of its group's stacked heads once, so the
+        per-column tensors are the same objects on every call."""
+        columns = {}
+        for head in self.heads:
+            for j, d in enumerate(head.group.columns.tolist()):
+                stacks = {f"gen.head{d}.loc": head.loc_layers}
+                if head.scale_layers:
+                    stacks[f"gen.head{d}.scale"] = head.scale_layers
+                columns[d] = {name: C.view(t, j) for name, t in C.named_stacks(stacks).items()}
+        self._named = {
+            "gen.prior_mu": self.prior_mu_table,
+            **C.named_stacks({"gen.g": self.g_layers}),
+            **{name: t for d in sorted(columns) for name, t in columns[d].items()},
+        }
 
     def named_parameters(self) -> dict[str, C.Tensor]:
         """gen.prior_mu, the gen.g stack, then each column's loc (and scale) head."""
-        stacks = {"gen.g": self.g_layers}
-        for d, head in enumerate(self.heads):
-            stacks[f"gen.head{d}.loc"] = head.loc_layers
-            if head.scale_layers:
-                stacks[f"gen.head{d}.scale"] = head.scale_layers
-        return {"gen.prior_mu": self.prior_mu_table, **C.named_stacks(stacks)}
+        return dict(self._named)
 
     def parameters(self) -> list[C.Tensor]:
-        return list(self.named_parameters().values())
+        return list(self._named.values())
+
+    def tensors(self) -> list[C.Tensor]:
+        """The storage the optimizer updates: the named tensors, with each
+        group's stacked heads in place of their per-column views."""
+        layers = self.g_layers + [
+            layer for head in self.heads for layer in head.loc_layers + (head.scale_layers or [])
+        ]
+        return [self.prior_mu_table, *(t for layer in layers for t in (layer.weights, layer.bias))]
 
 
 def build_generative(
     schema: Schema, dim_s: int, dim_z: int, dim_y: int, layers: int, rng
 ) -> GenerativeNets:
-    heads = []
+    """Initial values are drawn column by column, loc then scale, in schema
+    order, and then stacked per group."""
+    per_column = []
     for col in schema.columns:
         loc_w, scale_w = col.kind_class.head_widths(col.cardinality)
-        heads.append(
-            ColumnHead(
-                kind=col.kind_class,
-                loc_layers=C.init_stack(dim_y + dim_s, loc_w, layers, rng),
-                scale_layers=C.init_stack(dim_s, scale_w, layers, rng) if scale_w else None,
+        loc = C.init_stack(dim_y + dim_s, loc_w, layers, rng)
+        per_column.append((loc, C.init_stack(dim_s, scale_w, layers, rng) if scale_w else None))
+
+    def stacked(stacks):
+        return [
+            C.DenseLayer(
+                C.parameter(np.stack([layer.weights.values for layer in column_layers])),
+                C.parameter(np.stack([layer.bias.values for layer in column_layers])),
+                column_layers[0].activation,
             )
-        )
+            for column_layers in zip(*stacks)
+        ]
+
+    heads = []
+    for group in schema.groups:
+        loc, scale = zip(*(per_column[d] for d in group.columns))
+        heads.append(GroupHead(group, stacked(loc), stacked(scale) if scale[0] else None))
     return GenerativeNets(
         dim_z=dim_z,
         dim_y=dim_y,
@@ -78,23 +118,45 @@ def build_generative(
     )
 
 
-def decode(
-    nets: GenerativeNets, latent: LatentSample, stats: NormalizationStats
-) -> list[LikelihoodParams]:
+class Decoded(Sequence):
+    """The likelihood blocks of one decode, one per column group.
+
+    Indexing or iterating gives each column's own LikelihoodParams in schema
+    order, built on demand from its group's block.
+    """
+
+    def __init__(self, groups: tuple[ColumnGroup, ...], blocks: tuple[LikelihoodParams, ...]):
+        self.groups = groups
+        self.blocks = blocks
+
+    def __len__(self) -> int:
+        return sum(group.columns.size for group in self.groups)
+
+    def __getitem__(self, d: int) -> LikelihoodParams:
+        d = range(len(self))[d]  # IndexError past the last column ends iteration
+        for group, block in zip(self.groups, self.blocks):
+            hits = np.flatnonzero(group.columns == d)
+            if hits.size:
+                return block.column(int(hits[0]))
+
+
+def decode(nets: GenerativeNets, latent: LatentSample, stats: NormalizationStats) -> Decoded:
     """Likelihood parameters of every column at the given latent point."""
     s, z = latent.s_soft, latent.z
     Y = C.forward_stack(nets.g_layers, z)
-    out: list[LikelihoodParams] = []
-    for d, head in enumerate(nets.heads):
-        y_d = C.narrow(Y, d * nets.dim_y, nets.dim_y)
-        loc = C.forward_stack(head.loc_layers, C.concat([y_d, s]))
-        raw_scale = C.forward_stack(head.scale_layers, s) if head.scale_layers else None
-        out.append(head.kind.from_head(loc, raw_scale, stats.shift[d], stats.scale[d]))
-    return out
+    Y = C.reshape(Y, (Y.values.shape[0], -1, nets.dim_y))  # (B, D, dim_y)
+    blocks = []
+    for head in nets.heads:
+        kind, idx = head.group.kind_class, head.group.columns
+        loc = C.forward_group_stack(head.loc_layers, C.take(Y, idx), s)
+        raw_scale = C.forward_group_stack(head.scale_layers, None, s) if head.scale_layers else None
+        blocks.append(kind.from_head(loc, raw_scale, stats.shift[idx], stats.scale[idx]))
+    return Decoded(tuple(head.group for head in nets.heads), tuple(blocks))
 
 
 def log_likelihood(params: LikelihoodParams, x) -> C.Tensor:
-    """Exact log density/mass of each cell value, as a (B, 1) tensor.
+    """Exact log density/mass of each cell value, a (B, G) tensor for a block
+    and (B, 1) for one column's params.
 
     Includes the log-Normal 1/x Jacobian and the Poisson -log(x!) term, so
     densities integrate (masses sum) to one over the support.
@@ -103,10 +165,11 @@ def log_likelihood(params: LikelihoodParams, x) -> C.Tensor:
 
 
 def mode(params: LikelihoodParams) -> np.ndarray:
-    """Most probable value per row (ties on discrete kinds -> lowest index)."""
+    """Most probable value per row and column (ties on discrete kinds -> lowest index)."""
     return params.mode()
 
 
-def params_summary(params: LikelihoodParams, rows: np.ndarray) -> list[dict]:
-    """JSON-friendly snapshot of each given row's distribution parameters."""
+def params_summary(params: LikelihoodParams, rows) -> list[list[dict]]:
+    """JSON-friendly snapshot of the distribution parameters of each block
+    column j at the rows rows[j]."""
     return params.summary(rows)

@@ -41,12 +41,16 @@ class ImputationResult:
         ]
 
 
-def _fill(table, mask, per_column_values, method, liks) -> ImputationResult:
+def _fill(table, mask, values, method, decoded) -> ImputationResult:
     missing = ~mask.observed
-    completed = np.where(missing, np.column_stack(per_column_values), table.cells)
+    completed = HeterogeneousTable(table.schema, np.where(missing, values, table.cells))
     rows = tuple(np.flatnonzero(column) for column in missing.T)
-    params = tuple(G.params_summary(lik, r) for lik, r in zip(liks, rows))
-    return ImputationResult(HeterogeneousTable(table.schema, completed), method, rows, params)
+    params = [None] * table.n_cols
+    for group, block in zip(decoded.groups, decoded.blocks):
+        summaries = G.params_summary(block, [rows[d] for d in group.columns])
+        for d, column_summaries in zip(group.columns.tolist(), summaries):
+            params[d] = column_summaries
+    return ImputationResult(completed, method, rows, tuple(params))
 
 
 def impute_map(model: ModelState, table: HeterogeneousTable, mask: MissingMask) -> ImputationResult:
@@ -55,9 +59,11 @@ def impute_map(model: ModelState, table: HeterogeneousTable, mask: MissingMask) 
     mask.check_shape(table)
     params = R.posterior(model.encoder, table, mask, model.stats, range(table.n_rows))
     latent = R.map_latent(params)
-    liks = G.decode(model.generative, latent, model.stats)
-    values = [G.mode(lik) for lik in liks]
-    return _fill(table, mask, values, "map_mode", liks)
+    decoded = G.decode(model.generative, latent, model.stats)
+    values = np.empty(table.cells.shape)
+    for group, block in zip(decoded.groups, decoded.blocks):
+        values[:, group.columns] = G.mode(block)
+    return _fill(table, mask, values, "map_mode", decoded)
 
 
 def impute_sample(
@@ -68,9 +74,14 @@ def impute_sample(
     mask.check_shape(table)
     params = R.posterior(model.encoder, table, mask, model.stats, range(table.n_rows))
     latent = R.sample_latent(params, model.config.tau_end, rng)
-    liks = G.decode(model.generative, latent, model.stats)
-    values = [lik.sample(rng) for lik in liks]
-    return _fill(table, mask, values, "sample", liks)
+    decoded = G.decode(model.generative, latent, model.stats)
+    where = {d: (block, j) for group, block in zip(decoded.groups, decoded.blocks)
+             for j, d in enumerate(group.columns.tolist())}
+    values = np.empty(table.cells.shape)
+    for d in range(table.n_cols):  # column by column in schema order: draws stay in that order
+        block, j = where[d]
+        values[:, d] = block.sample(rng, j)
+    return _fill(table, mask, values, "sample", decoded)
 
 
 @dataclass(frozen=True)
@@ -94,7 +105,8 @@ def predict_target(
 
     Keeps ceil(N * train_fraction) labels visible (chosen at random among rows
     whose label is observed), hides the rest, trains on everything visible,
-    and scores MAP imputations of the hidden labels against the truth.
+    and scores MAP imputations of the hidden labels against the truth.  A
+    target with no label left to hide is a DataError.
     """
     t = table.schema.column_index(target_column)
     if table.schema.columns[t].kind != "cat":
@@ -106,7 +118,12 @@ def predict_target(
     eligible = np.flatnonzero(mask.observed[:, t])
     if eligible.size == 0:
         raise DataError(f"target column {target_column!r} has no observed labels")
-    n_visible = min(math.ceil(table.n_rows * train_fraction), eligible.size)
+    n_visible = math.ceil(table.n_rows * train_fraction)
+    if eligible.size <= n_visible:
+        raise DataError(
+            f"target column {target_column!r} has {eligible.size} observed labels, and "
+            f"{n_visible} stay visible at train fraction {train_fraction}: none is held out"
+        )
     order = rng.permutation(eligible)
     held_out = np.sort(order[n_visible:])
 
@@ -119,7 +136,7 @@ def predict_target(
 
     predicted = result.completed.cells[held_out, t]
     truth = table.cells[held_out, t]
-    error = float(np.mean(predicted != truth)) if held_out.size else 0.0
+    error = float(np.mean(predicted != truth))
     return PredictionOutcome(
         target_column=target_column,
         held_out_rows=tuple(int(r) for r in held_out),

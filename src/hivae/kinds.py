@@ -10,15 +10,20 @@ Class attributes and classmethods are the column rules: nominal or not, encoder
 width and block (standardized slot, one-hot or thermometer), transform and its
 domain, support, CSV cell format, decoder head widths (location, scale) and the
 step from head outputs to parameters, missing-cell stand-in, mean/mode baseline
-and metric.  ``encode`` and ``from_head`` take the column's normalization shift
-and scale, which the nominal kinds ignore.  An instance holds one decoded
-distribution per batch row.
+and metric.  ``encode`` and ``from_head`` take the columns' normalization
+shifts and scales, which the nominal kinds ignore.
+
+An instance is a block: the decoded distributions of the G columns of one
+(kind, cardinality) group for every batch row, with scalar parameters of shape
+(B, G) and vector parameters of shape (B, G, R).  ``log_prob``, ``mode`` and
+``summary`` work on the whole block, ``sample`` on one of its columns.
+``column(j)`` gives column j's own parameters, (B, 1) scalars and (B, R)
+vectors, which the same methods accept as a one-column block.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.special import gammaln
@@ -30,11 +35,28 @@ RATE_FLOOR = 1e-6
 GAP_FLOOR = 1e-6
 PROB_FLOOR = 1e-30
 
-LOG_2PI = math.log(2.0 * math.pi)
+
+def _block(x) -> np.ndarray:
+    """Cell values as a (B, G) float64 block; a 1-D array is one column."""
+    x = np.asarray(x, dtype=np.float64)
+    return x if x.ndim == 2 else x.reshape(-1, 1)
 
 
-def _column(x) -> np.ndarray:
-    return np.asarray(x, dtype=np.float64).reshape(-1, 1)
+def _scalar(head: C.Tensor) -> C.Tensor:
+    """A (B, G, 1) head output as its (B, G) block."""
+    return C.reshape(head, head.values.shape[:2])
+
+
+def _grouped(values: np.ndarray) -> np.ndarray:
+    """Vector parameters as (B, G, R); one column's own (B, R) is G = 1."""
+    return values[:, None] if values.ndim == 2 else values
+
+
+def _column_of(t: C.Tensor, j: int) -> C.Tensor:
+    part = C.narrow(t, j, 1, axis=1)
+    if t.values.ndim == 2:
+        return part
+    return C.reshape(part, (t.values.shape[0], t.values.shape[2]))
 
 
 class _Kind:
@@ -53,8 +75,8 @@ class _Kind:
 
     @classmethod
     def encode(cls, values: np.ndarray, shift, scale, cardinality: int) -> np.ndarray:
-        """Encoder block of observed values: the standardized transform."""
-        return ((cls.transform(values) - shift) / scale)[:, None]
+        """(B, G, width) encoder blocks of (B, G) values: the standardized transform."""
+        return ((cls.transform(values) - shift) / scale)[..., None]
 
     @classmethod
     def _checked(cls, x: np.ndarray, cardinality: int = 0) -> np.ndarray:
@@ -68,11 +90,18 @@ class _Kind:
         """Mean/mode baseline fill from the observed values, and its statistic."""
         return float(np.mean(values)), "mean"
 
+    def column(self, j: int):
+        """Column j's own parameters, differentiable back into the block."""
+        return type(self)(
+            **{f.name: _column_of(getattr(self, f.name), j)
+               for f in fields(self) if getattr(self, f.name) is not None}
+        )
+
 
 @dataclass(frozen=True)
 class NormalParams(_Kind):
-    mu: C.Tensor  # (B, 1)
-    var: C.Tensor  # (B, 1)
+    mu: C.Tensor  # (B, G)
+    var: C.Tensor  # (B, G)
 
     kind = "real"
     domain = "raw"
@@ -82,24 +111,28 @@ class NormalParams(_Kind):
 
     @classmethod
     def from_head(cls, loc: C.Tensor, raw_scale: C.Tensor, shift, scale):
-        raw_var = C.clip(C.softplus(raw_scale), lo=VAR_FLOOR)
-        return cls(loc * scale + shift, raw_var * (scale**2))
+        raw_var = C.clip(C.softplus(_scalar(raw_scale)), lo=VAR_FLOOR)
+        squares = np.array([s**2 for s in scale])  # scalar pow: an array square rounds some apart
+        return cls(_scalar(loc) * scale + shift, raw_var * squares)
 
     def log_prob(self, x) -> C.Tensor:
-        diff = C.constant(_column(x)) - self.mu
-        return -0.5 * LOG_2PI - 0.5 * C.log(self.var) - diff * diff / (self.var * 2.0)
+        return C.normal_log_density(_block(x), self.mu, self.var)
 
     def mode(self) -> np.ndarray:
-        return self.mu.values[:, 0].copy()
+        return self.mu.values.copy()
 
-    def sample(self, rng) -> np.ndarray:
-        mu, var = self.mu.values[:, 0], self.var.values[:, 0]
+    def sample(self, rng, j: int = 0) -> np.ndarray:
+        mu, var = self.mu.values[:, j], self.var.values[:, j]
         return mu + np.sqrt(var) * rng.standard_normal(mu.shape)
 
-    def summary(self, rows: np.ndarray) -> list[dict]:
+    def summary(self, rows) -> list[list[dict]]:
+        """Per column j, one record per row of rows[j]."""
         mean_key, var_key = self.summary_keys
-        mus, variances = self.mu.values[rows, 0].tolist(), self.var.values[rows, 0].tolist()
-        return [{"kind": self.kind, mean_key: mu, var_key: var} for mu, var in zip(mus, variances)]
+        return [
+            [{"kind": self.kind, mean_key: mu, var_key: var}
+             for mu, var in zip(self.mu.values[r, j].tolist(), self.var.values[r, j].tolist())]
+            for j, r in enumerate(rows)
+        ]
 
 
 @dataclass(frozen=True)
@@ -113,22 +146,22 @@ class LogNormalParams(NormalParams):
     summary_keys = ("log_mean", "log_var")
 
     def log_prob(self, x) -> C.Tensor:
-        lx = np.log(self._checked(_column(x)))
-        return super().log_prob(lx) - C.constant(lx)  # 1/x Jacobian
+        lx = np.log(self._checked(_block(x)))
+        return super().log_prob(lx) - lx  # 1/x Jacobian
 
     def mode(self) -> np.ndarray:
         # degenerate (unnormalized) models may overflow to inf; keep that visible
         with np.errstate(over="ignore"):
-            return np.exp(self.mu.values[:, 0] - self.var.values[:, 0])
+            return np.exp(self.mu.values - self.var.values)
 
-    def sample(self, rng) -> np.ndarray:
+    def sample(self, rng, j: int = 0) -> np.ndarray:
         with np.errstate(over="ignore"):
-            return np.exp(super().sample(rng))
+            return np.exp(super().sample(rng, j))
 
 
 @dataclass(frozen=True)
 class PoissonParams(_Kind):
-    rate: C.Tensor  # (B, 1)
+    rate: C.Tensor  # (B, G)
 
     kind = "count"
     domain = "log1p"
@@ -144,25 +177,29 @@ class PoissonParams(_Kind):
 
     @classmethod
     def from_head(cls, loc: C.Tensor, raw_scale, shift, scale):
-        return cls(C.clip(C.softplus(loc), lo=RATE_FLOOR))
+        return cls(C.clip(C.softplus(_scalar(loc)), lo=RATE_FLOOR))
 
     def log_prob(self, x) -> C.Tensor:
-        xv = self._checked(_column(x))
+        xv = self._checked(_block(x))
         return C.constant(xv) * C.log(self.rate) - self.rate - C.constant(gammaln(xv + 1.0))
 
     def mode(self) -> np.ndarray:
-        return np.floor(self.rate.values[:, 0])
+        return np.floor(self.rate.values)
 
-    def sample(self, rng) -> np.ndarray:
-        return rng.poisson(self.rate.values[:, 0]).astype(np.float64)
+    def sample(self, rng, j: int = 0) -> np.ndarray:
+        return rng.poisson(self.rate.values[:, j]).astype(np.float64)
 
-    def summary(self, rows: np.ndarray) -> list[dict]:
-        return [{"kind": self.kind, "rate": rate} for rate in self.rate.values[rows, 0].tolist()]
+    def summary(self, rows) -> list[list[dict]]:
+        return [
+            [{"kind": self.kind, "rate": rate} for rate in self.rate.values[r, j].tolist()]
+            for j, r in enumerate(rows)
+        ]
 
 
 @dataclass(frozen=True)
 class CategoricalParams(_Kind):
-    probs: C.Tensor  # (B, R) rows on the simplex
+    probs: C.Tensor  # (B, G, R) rows on the simplex
+    logits: C.Tensor | None = field(default=None, kw_only=True)  # softmax inputs, when decoded
 
     kind = "cat"
     nominal = True
@@ -175,7 +212,7 @@ class CategoricalParams(_Kind):
 
     @classmethod
     def encode(cls, values: np.ndarray, shift, scale, cardinality: int) -> np.ndarray:
-        slots, classes = np.arange(cardinality)[None, :], values.astype(np.intp)[:, None]
+        slots, classes = np.arange(cardinality), values.astype(np.intp)[..., None]
         return cls.block_rule(slots, classes).astype(np.float64)
 
     @classmethod
@@ -185,34 +222,41 @@ class CategoricalParams(_Kind):
 
     @classmethod
     def from_head(cls, loc: C.Tensor, raw_scale, shift, scale):
-        zeros = C.constant(np.zeros((loc.values.shape[0], 1)))
-        return cls(C.softmax(C.concat([zeros, loc]), axis=1))
+        zeros = C.constant(np.zeros(loc.values.shape[:2] + (1,)))
+        logits = C.concat([zeros, loc], axis=2)
+        return cls(C.softmax(logits, axis=2), logits=logits)
 
     def log_prob(self, x) -> C.Tensor:
-        R = self.probs.values.shape[1]
-        classes = self._checked(np.asarray(x, dtype=np.intp), R)
-        one_hot = CategoricalParams.encode(classes, 0.0, 1.0, R)  # one-hot for ordinals too
-        picked = C.log(C.clip(self.probs, lo=PROB_FLOOR)) * C.constant(one_hot)
-        return C.tsum(picked, axis=1, keepdims=True)
+        R = self.probs.values.shape[-1]
+        classes = self._checked(_block(x), R).astype(np.intp)
+        logits = self.logits
+        if logits is None:  # ordinals: the log-probabilities are softmax inputs too
+            logits = C.log(C.clip(self.probs, lo=PROB_FLOOR))
+        if logits.values.ndim == 2:
+            logits = C.reshape(logits, (-1, 1, R))
+        return C.log_softmax_gather(logits, classes)
 
     def mode(self) -> np.ndarray:
-        return np.argmax(self.probs.values, axis=1).astype(np.float64)
+        return np.argmax(_grouped(self.probs.values), axis=2).astype(np.float64)
 
-    def sample(self, rng) -> np.ndarray:
-        probs = self.probs.values
+    def sample(self, rng, j: int = 0) -> np.ndarray:
+        probs = _grouped(self.probs.values)[:, j]
         cdf = np.cumsum(probs, axis=1)
         u = rng.random(probs.shape[0])
         idx = (u[:, None] > cdf).sum(axis=1)
         return np.minimum(idx, probs.shape[1] - 1).astype(np.float64)
 
-    def summary(self, rows: np.ndarray) -> list[dict]:
-        return [{"kind": self.kind, "probs": probs} for probs in self.probs.values[rows].tolist()]
+    def summary(self, rows) -> list[list[dict]]:
+        return [
+            [{"kind": self.kind, "probs": probs} for probs in self.probs.values[r, j].tolist()]
+            for j, r in enumerate(rows)
+        ]
 
 
 @dataclass(frozen=True)
 class OrdinalParams(CategoricalParams):
-    thresholds: C.Tensor  # (B, R-1) strictly increasing
-    location: C.Tensor  # (B, 1)
+    thresholds: C.Tensor  # (B, G, R-1) strictly increasing
+    location: C.Tensor  # (B, G)
 
     kind = "ordinal"
     metric = "displacement"
@@ -221,19 +265,19 @@ class OrdinalParams(CategoricalParams):
 
     @classmethod
     def from_head(cls, loc: C.Tensor, raw_scale: C.Tensor, shift, scale):
-        thresholds = C.cumsum(C.clip(C.softplus(raw_scale), lo=GAP_FLOOR), axis=1)
+        thresholds = C.cumsum(C.clip(C.softplus(raw_scale), lo=GAP_FLOOR), axis=2)
         cdf = C.sigmoid(thresholds - loc)
-        B = loc.values.shape[0]
-        ones = C.constant(np.ones((B, 1)))
-        zeros = C.constant(np.zeros((B, 1)))
-        probs = C.concat([cdf, ones]) - C.concat([zeros, cdf])
-        return cls(probs, thresholds, loc)
+        ones = C.constant(np.ones(loc.values.shape))
+        zeros = C.constant(np.zeros(loc.values.shape))
+        probs = C.concat([cdf, ones], axis=2) - C.concat([zeros, cdf], axis=2)
+        return cls(probs, thresholds, _scalar(loc))
 
-    def summary(self, rows: np.ndarray) -> list[dict]:
+    def summary(self, rows) -> list[list[dict]]:
         out = super().summary(rows)
-        locations = self.location.values[rows, 0].tolist()
-        for rec, t, loc in zip(out, self.thresholds.values[rows].tolist(), locations):
-            rec.update(thresholds=t, location=loc)
+        for j, (records, r) in enumerate(zip(out, rows)):
+            thresholds = self.thresholds.values[r, j].tolist()
+            for rec, t, loc in zip(records, thresholds, self.location.values[r, j].tolist()):
+                rec.update(thresholds=t, location=loc)
         return out
 
 

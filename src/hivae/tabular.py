@@ -13,6 +13,7 @@ whatever the storage holds.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import itertools
 import math
@@ -89,6 +90,17 @@ class ColumnSpec:
         return self.kind_class.encoded_width(self.cardinality)
 
 
+@dataclass(frozen=True, eq=False)
+class ColumnGroup:
+    """The columns of one (kind, cardinality), which share their transform,
+    encoder block and decoder head shape and are evaluated together."""
+
+    kind_class: type
+    cardinality: int
+    columns: np.ndarray  # (G,) column indices, ascending
+    slots: np.ndarray  # (G * width,) their encoder-input slots, column by column
+
+
 @dataclass(frozen=True)
 class Schema:
     """Ordered column specs; position is the canonical attribute index."""
@@ -117,6 +129,21 @@ class Schema:
             ranges.append((off, c.encoded_width))
             off += c.encoded_width
         return ranges
+
+    @functools.cached_property
+    def groups(self) -> tuple[ColumnGroup, ...]:
+        """Columns grouped by (kind, cardinality), in order of first appearance."""
+        members: dict[tuple[str, int], list[int]] = {}
+        for d, c in enumerate(self.columns):
+            members.setdefault((c.kind, c.cardinality), []).append(d)
+        offsets = np.array([off for off, _ in self.slot_ranges()])
+        groups = []
+        for (kind, cardinality), columns in members.items():
+            columns = np.array(columns, dtype=np.intp)
+            width = KINDS[kind].encoded_width(cardinality)
+            slots = (offsets[columns][:, None] + np.arange(width)).ravel()
+            groups.append(ColumnGroup(KINDS[kind], cardinality, _freeze(columns), _freeze(slots)))
+        return tuple(groups)
 
     def column_index(self, name: str) -> int:
         for i, c in enumerate(self.columns):
@@ -200,13 +227,20 @@ def fit_normalization(
         raise ValueError("batch_rows must be nonempty")
     mask.check_shape(table)
     shift, scale = np.zeros(table.n_cols), np.ones(table.n_cols)
-    for d, col in enumerate(table.schema.columns):
-        if col.is_nominal:
+    cells, observed = table.cells[rows], mask.observed[rows]
+    for group in table.schema.groups:
+        kind, idx = group.kind_class, group.columns
+        if kind.nominal:
             continue
-        vals = table.cells[rows, d][mask.observed[rows, d]]
-        if vals.size:
-            t = col.kind_class.transform(vals)
-            shift[d], scale[d] = np.mean(t), max(np.std(t), SCALE_FLOOR)
+        obs = observed[:, idx]
+        count = obs.sum(axis=0)
+        seen = count > 0
+        t = np.where(obs, kind.transform(np.where(obs, cells[:, idx], kind.safe_value)), 0.0)
+        mean = t.sum(axis=0) / np.maximum(count, 1)
+        dev = np.where(obs, t - mean, 0.0)
+        std = np.sqrt((dev * dev).sum(axis=0) / np.maximum(count, 1))
+        shift[idx[seen]] = mean[seen]
+        scale[idx[seen]] = np.maximum(std[seen], SCALE_FLOOR)
     return NormalizationStats(shift, scale)
 
 
@@ -231,15 +265,13 @@ def encode_inputs(
     rows = np.asarray(rows, dtype=np.intp)
     mask.check_shape(table)
     out = np.zeros((rows.size, table.schema.encoded_width))
-    for d, (col, (off, width)) in enumerate(
-        zip(table.schema.columns, table.schema.slot_ranges())
-    ):
-        obs = mask.observed[rows, d]
-        if not obs.any():
-            continue
-        values = table.cells[rows, d][obs]
-        block = col.kind_class.encode(values, stats.shift[d], stats.scale[d], col.cardinality)
-        out[obs, off : off + width] = block
+    cells, observed = table.cells[rows], mask.observed[rows]
+    for group in table.schema.groups:
+        kind, idx = group.kind_class, group.columns
+        obs = observed[:, idx]
+        values = np.where(obs, cells[:, idx], kind.safe_value)  # in-support stand-ins
+        block = kind.encode(values, stats.shift[idx], stats.scale[idx], group.cardinality)
+        out[:, group.slots] = np.where(obs[..., None], block, 0.0).reshape(rows.size, -1)
     return _freeze(out)
 
 

@@ -158,12 +158,14 @@ def elbo_batch(
     params = R.posterior(state.encoder, table, mask, stats, rows)
     latent = R.sample_latent(params, tau, rng)
 
-    observed = mask.observed[rows]
-    safe_values = [col.kind_class.safe_value for col in table.schema.columns]
-    x = np.where(observed, table.cells[rows], safe_values)  # in-support stand-ins
-    liks = G.decode(state.generative, latent, stats)
-    ll = C.concat([G.log_likelihood(lik, x[:, d]) for d, lik in enumerate(liks)])
-    recon = C.tsum(ll * C.constant(observed.astype(np.float64)))
+    cells, observed = table.cells[rows], mask.observed[rows]
+    decoded = G.decode(state.generative, latent, stats)
+    recon = None
+    for group, block in zip(decoded.groups, decoded.blocks):
+        obs = observed[:, group.columns]
+        x = np.where(obs, cells[:, group.columns], group.kind_class.safe_value)  # in-support
+        term = C.tsum(G.log_likelihood(block, x) * obs.astype(np.float64))
+        recon = term if recon is None else recon + term
 
     mu_p = C.matmul(latent.s_soft, state.generative.prior_mu_table)
     kl_z = C.tsum(gaussian_kl(latent.z_mu, latent.z_log_var, mu_p))
@@ -200,7 +202,7 @@ def train(
     state.stats = _batch_stats(state, table, mask, range(table.n_rows))
 
     named = named_parameters(state)
-    params = list(named.values())
+    tensors = state.encoder.parameters() + state.generative.tensors()
     adam = C.AdamState()
     n = table.n_rows
     for epoch in range(config.epochs):
@@ -215,10 +217,10 @@ def train(
                 raise TrainingError(epoch, batch_idx)
             loss = elbo * (-1.0 / rows.size)
             C.backward(loss)
-            for name, p in named.items():
-                if not np.isfinite(p.grad).all():
-                    raise TrainingError(epoch, batch_idx, name)
-            C.adam_step(adam, params)
+            if not all(np.isfinite(t.grad).all() for t in tensors):
+                name = next(name for name, p in named.items() if not np.isfinite(p.grad).all())
+                raise TrainingError(epoch, batch_idx, name)
+            C.adam_step(adam, tensors)
             epoch_elbo += value
         state.training_log.append((epoch, tau, epoch_elbo))
         if progress is not None:

@@ -284,6 +284,21 @@ class TestPredict:
         assert "'label'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_too_few_labels_to_hold_out_exits_2(self, tmp_path, capsys):
+        table = B.separable_table(20, seed=0)
+        data = tmp_path / "sep.csv"
+        observed = np.ones(table.cells.shape, dtype=bool)
+        observed[3:, 2] = False  # 3 labels, 10 kept visible
+        write_table(table, data, MissingMask(observed))
+        types = tmp_path / "sep_types.csv"
+        types.write_text("feat_x,real\nfeat_y,real\nlabel,cat,3\n")
+        out = tmp_path / "pred.json"
+        code = main(["predict", "--data", str(data), "--types", str(types),
+                     "--target", "label", "--out", str(out), *FAST])
+        assert code == 2
+        assert "none is held out" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_writes_predictions(self, tmp_path):
         table = B.separable_table(60, seed=2)
         data = tmp_path / "sep.csv"

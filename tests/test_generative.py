@@ -108,6 +108,22 @@ class TestDecode:
             assert abs(renormalized - raw_mean) < 1e-9
 
 
+class TestUnderflow:
+    def test_categorical_gradient_survives_an_underflowed_probability(self):
+        schema = Schema((ColumnSpec("c", "cat", 3),))
+        nets = build(schema)
+        zero_nets(nets)
+        bias = nets.named_parameters()["gen.head0.loc.0.b"]
+        bias.values[...] = [100.0, 0.0]  # logits (0, 100, 0): class 0 has probability e^-100
+        [params] = G.decode(nets, latent(nets, [1.0, 0.0], [0.0, 0.0]), unit_stats(schema))
+        assert params.probs.values[0, 0] < 1e-30
+        ll = G.log_likelihood(params, [0.0])
+        C.backward(C.tsum(ll))
+        # d/dlogit_k log p_0 = -p_k for k = 1, 2
+        assert bias.grad == pytest.approx([-1.0, -math.exp(-100.0)], rel=1e-12, abs=0.0)
+        assert ll.values[0, 0] == pytest.approx(-100.0)
+
+
 class TestLogLikelihood:
     def test_standard_normal_at_zero(self):
         params = G.NormalParams(C.constant([[0.0]]), C.constant([[1.0]]))

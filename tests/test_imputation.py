@@ -7,7 +7,14 @@ from scipy.stats import chisquare
 from hivae import benchmark as B
 from hivae import training as T
 from hivae.imputation import impute_map, impute_sample, predict_target
-from hivae.tabular import ColumnSpec, HeterogeneousTable, MissingMask, NormalizationStats, Schema
+from hivae.tabular import (
+    ColumnSpec,
+    DataError,
+    HeterogeneousTable,
+    MissingMask,
+    NormalizationStats,
+    Schema,
+)
 
 
 def trained_small(table, mask, seed=0, epochs=3):
@@ -149,6 +156,16 @@ class TestPredictTarget:
         config = T.TrainConfig(dim_z=2, dim_s=2, dim_y=2, epochs=250, batch_size=20, seed=0)
         out = predict_target(table, mask, "label", 0.5, config, np.random.default_rng(2))
         assert out.accuracy_error == 0.0
+
+    def test_too_few_labels_to_hold_out_is_a_data_error(self):
+        # 3 observed labels, ceil(20 * 0.5) = 10 kept visible: none would be held out
+        table = B.separable_table(20, seed=0)
+        observed = np.ones(table.cells.shape, dtype=bool)
+        observed[3:, 2] = False
+        config = T.TrainConfig(dim_z=2, dim_s=2, dim_y=2, epochs=1, batch_size=20, seed=0)
+        with pytest.raises(DataError, match="'label' has 3 observed labels"):
+            predict_target(table, MissingMask(observed), "label", 0.5, config,
+                           np.random.default_rng(0))
 
     def test_rejects_non_categorical_target(self, small_synthetic):
         table, mask = small_synthetic

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -373,7 +374,8 @@ class TestNonFiniteGradient:
 
     def test_training_stops_and_names_the_parameter(self, small_synthetic, poisoned):
         config = T.TrainConfig(dim_z=2, dim_s=2, dim_y=2, epochs=2, batch_size=20)
-        with pytest.raises(T.TrainingError, match=r"gradient of parameter gen\.g\.0\.w") as exc:
+        match = f"gradient of parameter {re.escape(self.NAME)} at "
+        with pytest.raises(T.TrainingError, match=match) as exc:
             T.train(*small_synthetic, config)
         assert (exc.value.parameter, exc.value.epoch, exc.value.batch) == (self.NAME, 0, 0)
 
@@ -387,6 +389,13 @@ class TestNonFiniteGradient:
                      "--out", str(tmp_path / "m.json"), "--epochs", "2", "--batch", "20"])
         assert code == 3
         assert self.NAME in capsys.readouterr().err
+
+
+class TestNonFiniteHeadGradient(TestNonFiniteGradient):
+    """The same, for a head weight that is a slice of its group's stacked
+    storage: column 5 (cat_b) is the second column of the cat(3) group."""
+
+    NAME = "gen.head5.loc.0.w"
 
 
 class TestPersistence:
