@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .imputation import ImputationResult, impute_map, impute_sample
+from .imputation import ImputationResult, filled, impute_map, impute_sample
 from .tabular import DataError, HeterogeneousTable, MissingMask, Schema, ColumnSpec
 from .training import TrainConfig, train
 
@@ -88,7 +88,6 @@ def mean_mode_impute(table: HeterogeneousTable, mask: MissingMask) -> Imputation
     """Baseline: observed mean for numeric columns (counts rounded half-up),
     observed modal class for nominal columns (ties to the lowest index)."""
     mask.check_shape(table)
-    missing = ~mask.observed
     fills, params = [], []
     for d, col in enumerate(table.schema.columns):
         vals = table.cells[mask.observed[:, d], d]
@@ -96,11 +95,9 @@ def mean_mode_impute(table: HeterogeneousTable, mask: MissingMask) -> Imputation
             raise DataError(f"column {col.name!r} has no observed cells")
         fill, stat = col.kind_class.baseline(vals, col.cardinality)
         fills.append(fill)
-        params.append([{"kind": col.kind, "statistic": stat}] * int(missing[:, d].sum()))
-    completed = np.where(missing, np.array(fills), table.cells)
-    rows = tuple(np.flatnonzero(column) for column in missing.T)
-    return ImputationResult(
-        HeterogeneousTable(table.schema, completed), "mean_mode", rows, tuple(params)
+        params.append({"kind": col.kind, "statistic": stat})
+    return filled(
+        table, mask, np.array(fills), "mean_mode", lambda d, rows: [params[d]] * rows.size
     )
 
 

@@ -164,9 +164,17 @@ def cmd_impute(args) -> int:
         result = I.impute_sample(model, table, mask, np.random.default_rng(seed))
     write_table(result.completed, args.out)
     sidecar = args.out + ".fills.json"
-    records = result.records()
-    _write_json(sidecar, records)
-    print(f"{len(records)} cells filled; sidecar {sidecar}", file=sys.stderr)
+    with open(sidecar, "w") as fh:
+        # the bytes of json.dumps(result.records(), sort_keys=True), one column at a time
+        fh.write("[")
+        separator = ""
+        for d, rows in enumerate(result.rows):
+            if rows.size:
+                fh.write(separator + json.dumps(result.column_records(d), sort_keys=True)[1:-1])
+                separator = ", "
+        fh.write("]\n")
+    n_filled = sum(rows.size for rows in result.rows)
+    print(f"{n_filled} cells filled; sidecar {sidecar}", file=sys.stderr)
     return 0
 
 

@@ -11,6 +11,7 @@ framework dependency.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,16 +103,32 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
+_recording = True  # off inside no_grad()
+
+
+@contextmanager
+def no_grad():
+    """Record no graph inside the block (process-wide): every op's output is
+    a constant, so each intermediate array is freed once its last reader is
+    done.  The op sequence, and so every value, is the same as with recording on."""
+    global _recording
+    previous, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = previous
+
+
 def _node(values, parents, backward) -> Tensor:
     """An op's output; backward(grad) pushes the output's grad to the parents
     that require grad.
 
-    The output requires grad when a parent does; otherwise it is a constant
-    and keeps neither parents nor closure.  The closure holds the parents,
-    never the output, so a dropped graph is freed by reference counting
-    without waiting for the cyclic collector.
+    The output requires grad when a parent does, outside no_grad(); otherwise
+    it is a constant and keeps neither parents nor closure.  The closure holds
+    the parents, never the output, so a dropped graph is freed by reference
+    counting without waiting for the cyclic collector.
     """
-    if any(p.requires_grad for p in parents):
+    if _recording and any(p.requires_grad for p in parents):
         return Tensor(values, requires_grad=True, _parents=parents, _backward=backward)
     return Tensor(values)
 

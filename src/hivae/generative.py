@@ -169,7 +169,7 @@ def mode(params: LikelihoodParams) -> np.ndarray:
     return params.mode()
 
 
-def params_summary(params: LikelihoodParams, rows) -> list[list[dict]]:
-    """JSON-friendly snapshot of the distribution parameters of each block
-    column j at the rows rows[j]."""
-    return params.summary(rows)
+def params_summary(params: LikelihoodParams, j: int, rows) -> list[dict]:
+    """JSON-friendly snapshot of block column j's distribution parameters,
+    one record per row of rows."""
+    return params.summary(j, rows)

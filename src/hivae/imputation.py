@@ -10,10 +10,12 @@ then draws each cell from its decoded distribution.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import compute as C
 from . import generative as G
 from . import recognition as R
 # encode_inputs is bound here so the benchmark tracer wraps this lookup site
@@ -23,65 +25,73 @@ from .training import ModelState, TrainConfig, require_schema, train
 
 @dataclass(frozen=True)
 class ImputationResult:
-    """The completed table and, per column d, the filled rows (ascending) and
-    one decoded-distribution summary per filled row."""
+    """The completed table, per column d the filled rows (ascending), and the
+    source of their decoded-distribution summaries: summaries(d, rows) gives
+    one params record per row, built when asked for."""
 
     completed: HeterogeneousTable
     method: str  # "map_mode" | "sample" | "mean_mode"
     rows: tuple[np.ndarray, ...]
-    params: tuple[list[dict], ...]
+    summaries: Callable[[int, np.ndarray], list[dict]]
 
-    def records(self) -> list[dict]:
-        """The sidecar: one record per filled cell, column by column, rows ascending."""
-        cells = self.completed.cells
+    def column_records(self, d: int) -> list[dict]:
+        """Column d's sidecar records, rows ascending."""
+        rows = self.rows[d]
         return [
             {"row": n, "col": d, "method": self.method, "value": value, "params": params}
-            for d, (rows, summaries) in enumerate(zip(self.rows, self.params))
-            for n, value, params in zip(rows.tolist(), cells[rows, d].tolist(), summaries)
+            for n, value, params in zip(
+                rows.tolist(), self.completed.cells[rows, d].tolist(), self.summaries(d, rows)
+            )
         ]
 
+    def records(self) -> list[dict]:
+        """The sidecar: one record per filled cell, column by column."""
+        return [rec for d in range(len(self.rows)) for rec in self.column_records(d)]
 
-def _fill(table, mask, values, method, decoded) -> ImputationResult:
+
+def filled(table, mask, values, method, summaries) -> ImputationResult:
+    """The table with values written into the cells the mask leaves missing."""
     missing = ~mask.observed
     completed = HeterogeneousTable(table.schema, np.where(missing, values, table.cells))
     rows = tuple(np.flatnonzero(column) for column in missing.T)
-    params = [None] * table.n_cols
-    for group, block in zip(decoded.groups, decoded.blocks):
-        summaries = G.params_summary(block, [rows[d] for d in group.columns])
-        for d, column_summaries in zip(group.columns.tolist(), summaries):
-            params[d] = column_summaries
-    return ImputationResult(completed, method, rows, tuple(params))
+    return ImputationResult(completed, method, rows, summaries)
+
+
+def _summaries(decoded):
+    """Column d's summaries at the given rows, from its group's decoded block."""
+    where = {d: (block, j) for group, block in zip(decoded.groups, decoded.blocks)
+             for j, d in enumerate(group.columns.tolist())}
+    return lambda d, rows: G.params_summary(*where[d], rows)
+
+
+def _posterior(model, table, mask):
+    require_schema(model, table)
+    mask.check_shape(table)
+    return R.posterior(model.encoder, table, mask, model.stats, range(table.n_rows))
 
 
 def impute_map(model: ModelState, table: HeterogeneousTable, mask: MissingMask) -> ImputationResult:
     """Deterministic imputation: distribution modes at the MAP latent point."""
-    require_schema(model, table)
-    mask.check_shape(table)
-    params = R.posterior(model.encoder, table, mask, model.stats, range(table.n_rows))
-    latent = R.map_latent(params)
-    decoded = G.decode(model.generative, latent, model.stats)
+    with C.no_grad():
+        # the posterior is not bound to a name: it is freed once the latent point is taken
+        latent = R.map_latent(_posterior(model, table, mask))
+        decoded = G.decode(model.generative, latent, model.stats)
     values = np.empty(table.cells.shape)
     for group, block in zip(decoded.groups, decoded.blocks):
         values[:, group.columns] = G.mode(block)
-    return _fill(table, mask, values, "map_mode", decoded)
+    return filled(table, mask, values, "map_mode", _summaries(decoded))
 
 
 def impute_sample(
     model: ModelState, table: HeterogeneousTable, mask: MissingMask, rng
 ) -> ImputationResult:
     """Stochastic imputation: one posterior draw, one draw per missing cell."""
-    require_schema(model, table)
-    mask.check_shape(table)
-    params = R.posterior(model.encoder, table, mask, model.stats, range(table.n_rows))
-    latent = R.sample_latent(params, model.config.tau_end, rng)
-    decoded = G.decode(model.generative, latent, model.stats)
-    where = {d: (block, j) for group, block in zip(decoded.groups, decoded.blocks)
-             for j, d in enumerate(group.columns.tolist())}
-    values = np.empty(table.cells.shape)
-    for d in range(table.n_cols):  # column by column in schema order: draws stay in that order
-        block, j = where[d]
-        values[:, d] = block.sample(rng, j)
-    return _fill(table, mask, values, "sample", decoded)
+    with C.no_grad():
+        latent = R.sample_latent(_posterior(model, table, mask), model.config.tau_end, rng)
+        decoded = G.decode(model.generative, latent, model.stats)
+    # column by column in schema order: draws stay in that order
+    values = np.column_stack([column.sample(rng) for column in decoded])
+    return filled(table, mask, values, "sample", _summaries(decoded))
 
 
 @dataclass(frozen=True)

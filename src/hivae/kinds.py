@@ -15,8 +15,8 @@ shifts and scales, which the nominal kinds ignore.
 
 An instance is a block: the decoded distributions of the G columns of one
 (kind, cardinality) group for every batch row, with scalar parameters of shape
-(B, G) and vector parameters of shape (B, G, R).  ``log_prob``, ``mode`` and
-``summary`` work on the whole block, ``sample`` on one of its columns.
+(B, G) and vector parameters of shape (B, G, R).  ``log_prob`` and ``mode``
+work on the whole block, ``sample`` and ``summary`` on one of its columns.
 ``column(j)`` gives column j's own parameters, (B, 1) scalars and (B, R)
 vectors, which the same methods accept as a one-column block.
 """
@@ -125,13 +125,12 @@ class NormalParams(_Kind):
         mu, var = self.mu.values[:, j], self.var.values[:, j]
         return mu + np.sqrt(var) * rng.standard_normal(mu.shape)
 
-    def summary(self, rows) -> list[list[dict]]:
-        """Per column j, one record per row of rows[j]."""
+    def summary(self, j: int, rows) -> list[dict]:
+        """One record of column j's parameters per row of rows."""
         mean_key, var_key = self.summary_keys
         return [
-            [{"kind": self.kind, mean_key: mu, var_key: var}
-             for mu, var in zip(self.mu.values[r, j].tolist(), self.var.values[r, j].tolist())]
-            for j, r in enumerate(rows)
+            {"kind": self.kind, mean_key: mu, var_key: var}
+            for mu, var in zip(self.mu.values[rows, j].tolist(), self.var.values[rows, j].tolist())
         ]
 
 
@@ -189,11 +188,8 @@ class PoissonParams(_Kind):
     def sample(self, rng, j: int = 0) -> np.ndarray:
         return rng.poisson(self.rate.values[:, j]).astype(np.float64)
 
-    def summary(self, rows) -> list[list[dict]]:
-        return [
-            [{"kind": self.kind, "rate": rate} for rate in self.rate.values[r, j].tolist()]
-            for j, r in enumerate(rows)
-        ]
+    def summary(self, j: int, rows) -> list[dict]:
+        return [{"kind": self.kind, "rate": rate} for rate in self.rate.values[rows, j].tolist()]
 
 
 @dataclass(frozen=True)
@@ -246,11 +242,9 @@ class CategoricalParams(_Kind):
         idx = (u[:, None] > cdf).sum(axis=1)
         return np.minimum(idx, probs.shape[1] - 1).astype(np.float64)
 
-    def summary(self, rows) -> list[list[dict]]:
-        return [
-            [{"kind": self.kind, "probs": probs} for probs in self.probs.values[r, j].tolist()]
-            for j, r in enumerate(rows)
-        ]
+    def summary(self, j: int, rows) -> list[dict]:
+        probs = _grouped(self.probs.values)[rows, j].tolist()
+        return [{"kind": self.kind, "probs": p} for p in probs]
 
 
 @dataclass(frozen=True)
@@ -272,13 +266,12 @@ class OrdinalParams(CategoricalParams):
         probs = C.concat([cdf, ones], axis=2) - C.concat([zeros, cdf], axis=2)
         return cls(probs, thresholds, _scalar(loc))
 
-    def summary(self, rows) -> list[list[dict]]:
-        out = super().summary(rows)
-        for j, (records, r) in enumerate(zip(out, rows)):
-            thresholds = self.thresholds.values[r, j].tolist()
-            for rec, t, loc in zip(records, thresholds, self.location.values[r, j].tolist()):
-                rec.update(thresholds=t, location=loc)
-        return out
+    def summary(self, j: int, rows) -> list[dict]:
+        records = super().summary(j, rows)
+        thresholds = _grouped(self.thresholds.values)[rows, j].tolist()
+        for rec, t, loc in zip(records, thresholds, self.location.values[rows, j].tolist()):
+            rec.update(thresholds=t, location=loc)
+        return records
 
 
 LikelihoodParams = NormalParams | PoissonParams | CategoricalParams  # and their subclasses

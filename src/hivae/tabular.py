@@ -439,16 +439,30 @@ def load_dataset(data_file, types_file, mask_file=None) -> tuple[HeterogeneousTa
     return HeterogeneousTable(schema, values), MissingMask(observed)
 
 
+WRITE_CHUNK_ROWS = 4096  # rows formatted and written at a time
+
+
 def write_table(table: HeterogeneousTable, path, mask: MissingMask | None = None) -> None:
-    """Write a table in the input CSV dialect; masked cells become empty fields."""
-    columns = []
-    for d, col in enumerate(table.schema.columns):
-        shown = slice(None) if mask is None else mask.observed[:, d]
-        fields = np.full(table.n_rows, "", dtype=object)
-        fields[shown] = list(map(col.kind_class.format_cell, table.cells[shown, d].tolist()))
-        columns.append(fields.tolist())
+    """Write a table in the input CSV dialect; masked cells become empty fields.
+
+    The bytes are csv.writer's: formatted cells never need quoting, and a lone
+    empty field, a one-column row with its cell masked, is written as "".
+    """
+    formats = [col.kind_class.format_cell for col in table.schema.columns]
     with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerows(zip(*columns))
+        for start in range(0, table.n_rows, WRITE_CHUNK_ROWS):
+            chunk = slice(start, start + WRITE_CHUNK_ROWS)
+            columns = []
+            for d, format_cell in enumerate(formats):
+                cells = table.cells[chunk, d]
+                shown = slice(None) if mask is None else mask.observed[chunk, d]
+                fields = np.full(cells.size, "", dtype=object)
+                fields[shown] = list(map(format_cell, cells[shown].tolist()))
+                columns.append(fields.tolist())
+            lines = list(map(",".join, zip(*columns)))
+            if len(columns) == 1:
+                lines = [line or '""' for line in lines]
+            fh.write("\r\n".join(lines) + "\r\n")
 
 
 def write_mask(mask: MissingMask, path) -> None:

@@ -145,6 +145,24 @@ class TestMeanModeImpute:
             assert rec["value"] == result.completed.cells[rec["row"], rec["col"]]
             assert rec["params"] == {"kind": col.kind, "statistic": statistic}
 
+    def test_records_of_a_small_table(self):
+        schema = Schema(
+            (ColumnSpec("r", "real"), ColumnSpec("n", "count"), ColumnSpec("c", "cat", 3))
+        )
+        cells = np.array([[1.0, 2.0, 0.0], [2.5, 3.0, 2.0], [-0.5, 0.0, 2.0], [4.0, 1.0, 1.0]])
+        observed = np.array([[1, 0, 1], [1, 1, 1], [0, 1, 0], [1, 0, 1]], dtype=bool)
+        result = B.mean_mode_impute(HeterogeneousTable(schema, cells), MissingMask(observed))
+        assert result.records() == [
+            {"row": 2, "col": 0, "method": "mean_mode", "value": 2.5,
+             "params": {"kind": "real", "statistic": "mean"}},
+            {"row": 0, "col": 1, "method": "mean_mode", "value": 2.0,
+             "params": {"kind": "count", "statistic": "mean"}},
+            {"row": 3, "col": 1, "method": "mean_mode", "value": 2.0,
+             "params": {"kind": "count", "statistic": "mean"}},
+            {"row": 2, "col": 2, "method": "mean_mode", "value": 0.0,
+             "params": {"kind": "cat", "statistic": "mode"}},
+        ]
+
 
 class TestScoring:
     def test_avg_err_is_unweighted_column_mean(self, small_synthetic):

@@ -10,11 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hivae import benchmark as B
 from hivae import imputation as I
 from hivae import training as T
 from hivae.cli import main
 from hivae.kinds import KINDS
 from hivae.tabular import (
+    WRITE_CHUNK_ROWS,
     ColumnSpec,
     DataError,
     HeterogeneousTable,
@@ -300,6 +302,68 @@ def test_writers_match_row_wise_reference_bytes(tmp_path_factory, data):
     cells, observed = columnar_load(str(tmp / "got.csv"), str(tmp / "t.csv"))
     assert np.array_equal(observed, mask.observed)
     assert np.array_equal(cells[observed], table.cells[mask.observed])
+
+
+@pytest.mark.parametrize("kinds", [("real", "pos", "count", "cat", "ordinal"), ("real",)])
+@pytest.mark.parametrize("masked", [False, True])
+def test_writer_matches_reference_past_two_chunks(tmp_path, kinds, masked):
+    n = 2 * WRITE_CHUNK_ROWS + 1
+    schema = Schema(tuple(
+        ColumnSpec(f"c{d}", kind, 3 if KINDS[kind].nominal else 0) for d, kind in enumerate(kinds)
+    ))
+    rng = np.random.default_rng(len(kinds))
+    draws = {"real": lambda: rng.normal(size=n), "pos": lambda: np.exp(rng.normal(size=n)),
+             "count": lambda: rng.poisson(3.0, n).astype(float),
+             "cat": lambda: rng.integers(0, 3, n).astype(float)}
+    draws["ordinal"] = draws["cat"]
+    table = HeterogeneousTable(schema, np.column_stack([draws[k]() for k in kinds]))
+    observed = rng.random((n, len(kinds))) > 0.3
+    observed[[0, WRITE_CHUNK_ROWS, n - 1]] = False  # a fully masked row in each chunk
+    mask = MissingMask(observed) if masked else None
+    write_table(table, tmp_path / "got.csv", mask)
+    reference_write(table, tmp_path / "want.csv", mask)
+    got = (tmp_path / "got.csv").read_bytes()
+    assert got == (tmp_path / "want.csv").read_bytes()
+    if masked and len(kinds) == 1:
+        assert got.startswith(b'""\r\n')
+
+
+FAST = T.TrainConfig(dim_z=2, dim_s=2, dim_y=2, epochs=1, batch_size=20)
+
+
+def sidecar_and_records(tmp, table, mask, method):
+    """The CLI sidecar's text, and json.dumps of the same fills' records()."""
+    write_table(table, tmp / "d.csv", mask)
+    (tmp / "t.csv").write_text(types_text(table.schema))
+    T.save_model(T.train(table, mask, FAST), tmp / "m.json")
+    out = str(tmp / "o.csv")
+    assert main(["impute", "--model", str(tmp / "m.json"), "--data", str(tmp / "d.csv"),
+                 "--types", str(tmp / "t.csv"), "--method", method, "--seed", "4",
+                 "--out", out]) == 0
+    table, mask = load_dataset(str(tmp / "d.csv"), str(tmp / "t.csv"))
+    model = T.load_model(tmp / "m.json")
+    if method == "map":
+        result = I.impute_map(model, table, mask)
+    else:
+        result = I.impute_sample(model, table, mask, np.random.default_rng(4))
+    return (tmp / "o.csv.fills.json").read_text(), json.dumps(result.records(), sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("case", ["complete", "complete_first_and_middle", "one_column", "sample"])
+def test_sidecar_written_per_column_equals_json_dumps_of_records(tmp_path, case):
+    table = B.synthetic_table(40, seed=3)
+    observed = B.generate_mcar_mask(table, 0.3, seed=4).observed.copy()
+    if case == "complete":
+        observed[:] = True
+    if case == "complete_first_and_middle":
+        observed[:, [0, 3]] = True
+    if case == "one_column":
+        table = HeterogeneousTable(Schema(table.schema.columns[:1]), table.cells[:, :1])
+        observed = observed[:, :1]
+    got, want = sidecar_and_records(tmp_path, table, MissingMask(observed),
+                                    "sample" if case == "sample" else "map")
+    assert got == want
+    assert (got == "[]\n") == (case == "complete")
 
 
 def test_sidecar_bytes_equal_json_dump_with_an_infinite_pos_fill(tmp_path):

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from hivae import compute as C
 from hivae import training as T
-from hivae.imputation import impute_map
+from hivae.imputation import impute_map, impute_sample
+from hivae.tabular import HeterogeneousTable, MissingMask, Schema
 
 from conftest import StubRng, finite_difference, max_rel_err
 
@@ -134,6 +135,34 @@ class TestLazyGradients:
         impute_map(state, *small_synthetic)
         graph = created[start:]
         assert graph and all(t.grad is None for t in graph)
+
+    def test_imputation_records_no_graph(self, small_synthetic, state, created):
+        start = len(created)
+        impute_map(state, *small_synthetic)
+        impute_sample(state, *small_synthetic, np.random.default_rng(0))
+        graph = created[start:]
+        assert graph and all(
+            not t.requires_grad and not t._parents and t._backward is None for t in graph
+        )
+
+    def test_no_grad_is_restored_after_an_exception(self, small_synthetic, state):
+        table, mask = small_synthetic
+        other = HeterogeneousTable(Schema(table.schema.columns[:2]), table.cells[:, :2])
+        with pytest.raises(T.ModelFormatError):
+            impute_map(state, other, MissingMask(mask.observed[:, :2]))
+        with pytest.raises(RuntimeError), C.no_grad():
+            raise RuntimeError
+        elbo = T.elbo_batch(state, table, mask, range(table.n_rows), 0.5, np.random.default_rng(1))
+        C.backward(elbo)
+        assert elbo.requires_grad
+        assert all(np.any(p.grad != 0.0) for p in state.parameters())
+
+    def test_training_after_imputation_is_unchanged(self, small_synthetic):
+        table, mask = small_synthetic
+        config = T.TrainConfig(dim_z=3, dim_s=2, dim_y=2, epochs=3, batch_size=20, seed=1)
+        fresh = T.train(table, mask, config).training_log
+        impute_map(T.train(table, mask, config), table, mask)
+        assert T.train(table, mask, config).training_log == fresh
 
     def test_backward_never_writes_a_constant(self, small_synthetic, state, created):
         table, mask = small_synthetic
