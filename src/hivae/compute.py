@@ -488,10 +488,6 @@ class DenseLayer:
     def n_in(self) -> int:
         return self.weights.values.shape[0]
 
-    @property
-    def n_out(self) -> int:
-        return self.weights.values.shape[1]
-
 
 def init_dense(n_in: int, n_out: int, activation: str, rng) -> DenseLayer:
     """Uniform +-sqrt(6/(n_in+n_out)) weights, zero bias."""
@@ -581,12 +577,11 @@ def sample_gumbel_softmax(logits: Tensor, tau: float, rng) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+ADAM_LR, ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 1e-3, 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: list = field(default_factory=list)
     v: list = field(default_factory=list)
@@ -601,7 +596,7 @@ def adam_step(state: AdamState, params) -> None:
     if len(state.m) != len(params):
         raise ValueError("parameter list does not match optimizer state")
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     for p, m, v in zip(params, state.m, state.v):
         g = p.grad
         m *= b1
@@ -610,5 +605,5 @@ def adam_step(state: AdamState, params) -> None:
         v += (1.0 - b2) * g * g
         m_hat = m / (1.0 - b1**state.step)
         v_hat = v / (1.0 - b2**state.step)
-        p.values -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        p.values -= ADAM_LR * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         p.grad[...] = 0.0

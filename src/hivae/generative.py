@@ -16,19 +16,12 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import compute as C
-from .kinds import (  # noqa: F401  (the parameter variants and VAR_FLOOR are re-exported)
-    VAR_FLOOR,
-    CategoricalParams,
-    LikelihoodParams,
-    LogNormalParams,
-    NormalParams,
-    OrdinalParams,
-    PoissonParams,
-)
+from .kinds import LikelihoodParams
 from .recognition import LatentSample
 from .tabular import ColumnGroup, NormalizationStats, Schema
 
@@ -45,7 +38,6 @@ class GroupHead:
 
 @dataclass
 class GenerativeNets:
-    dim_z: int
     dim_y: int
     prior_mu_table: C.Tensor  # (L, K) component means of the mixture prior
     g_layers: list  # z -> D * dim_y shared representation
@@ -110,7 +102,6 @@ def build_generative(
         loc, scale = zip(*(per_column[d] for d in group.columns))
         heads.append(GroupHead(group, stacked(loc), stacked(scale) if scale[0] else None))
     return GenerativeNets(
-        dim_z=dim_z,
         dim_y=dim_y,
         prior_mu_table=C.parameter(rng.uniform(-0.05, 0.05, size=(dim_s, dim_z))),
         g_layers=C.init_stack(dim_z, len(schema) * dim_y, layers, rng),
@@ -129,15 +120,20 @@ class Decoded(Sequence):
         self.groups = groups
         self.blocks = blocks
 
+    @cached_property
+    def columns(self) -> list[tuple[LikelihoodParams, int]]:
+        """(block, j) of each column in schema order, built on first use:
+        a training step walks the blocks and never needs it."""
+        where = {d: (block, j) for group, block in zip(self.groups, self.blocks)
+                 for j, d in enumerate(group.columns.tolist())}
+        return [where[d] for d in range(len(where))]
+
     def __len__(self) -> int:
-        return sum(group.columns.size for group in self.groups)
+        return len(self.columns)
 
     def __getitem__(self, d: int) -> LikelihoodParams:
-        d = range(len(self))[d]  # IndexError past the last column ends iteration
-        for group, block in zip(self.groups, self.blocks):
-            hits = np.flatnonzero(group.columns == d)
-            if hits.size:
-                return block.column(int(hits[0]))
+        block, j = self.columns[d]  # IndexError past the last column ends iteration
+        return block.column(j)
 
 
 def decode(nets: GenerativeNets, latent: LatentSample, stats: NormalizationStats) -> Decoded:

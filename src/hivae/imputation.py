@@ -59,9 +59,7 @@ def filled(table, mask, values, method, summaries) -> ImputationResult:
 
 def _summaries(decoded):
     """Column d's summaries at the given rows, from its group's decoded block."""
-    where = {d: (block, j) for group, block in zip(decoded.groups, decoded.blocks)
-             for j, d in enumerate(group.columns.tolist())}
-    return lambda d, rows: G.params_summary(*where[d], rows)
+    return lambda d, rows: G.params_summary(*decoded.columns[d], rows)
 
 
 def _posterior(model, table, mask):
@@ -90,7 +88,7 @@ def impute_sample(
         latent = R.sample_latent(_posterior(model, table, mask), model.config.tau_end, rng)
         decoded = G.decode(model.generative, latent, model.stats)
     # column by column in schema order: draws stay in that order
-    values = np.column_stack([column.sample(rng) for column in decoded])
+    values = np.column_stack([block.sample(rng, j) for block, j in decoded.columns])
     return filled(table, mask, values, "sample", _summaries(decoded))
 
 

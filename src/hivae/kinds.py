@@ -18,7 +18,9 @@ An instance is a block: the decoded distributions of the G columns of one
 (B, G) and vector parameters of shape (B, G, R).  ``log_prob`` and ``mode``
 work on the whole block, ``sample`` and ``summary`` on one of its columns.
 ``column(j)`` gives column j's own parameters, (B, 1) scalars and (B, R)
-vectors, which the same methods accept as a one-column block.
+vectors, which the same methods accept as a one-column block.  Column views
+exist for the ``generative.Decoded[d]`` entry point; the package itself works
+on blocks.
 """
 
 from __future__ import annotations

@@ -77,10 +77,6 @@ class ColumnSpec:
         return KINDS[self.kind]
 
     @property
-    def is_numeric(self) -> bool:
-        return not self.is_nominal
-
-    @property
     def is_nominal(self) -> bool:
         return self.kind_class.nominal
 

@@ -10,6 +10,14 @@ from scipy.special import expit
 
 from hivae import compute as C
 from hivae import generative as G
+from hivae.kinds import (
+    VAR_FLOOR,
+    CategoricalParams,
+    LogNormalParams,
+    NormalParams,
+    OrdinalParams,
+    PoissonParams,
+)
 from hivae.recognition import LatentSample
 from hivae.tabular import ColumnSpec, NormalizationStats, Schema
 
@@ -23,7 +31,7 @@ def build(schema, dim_s=2, dim_z=2, dim_y=2, layers=1, seed=0):
 
 
 def unit_stats(schema, shift=0.0, scale=1.0):
-    numeric = np.array([c.is_numeric for c in schema.columns])
+    numeric = np.array([not c.is_nominal for c in schema.columns])
     return NormalizationStats(np.where(numeric, shift, 0.0), np.where(numeric, scale, 1.0))
 
 
@@ -126,13 +134,13 @@ class TestUnderflow:
 
 class TestLogLikelihood:
     def test_standard_normal_at_zero(self):
-        params = G.NormalParams(C.constant([[0.0]]), C.constant([[1.0]]))
+        params = NormalParams(C.constant([[0.0]]), C.constant([[1.0]]))
         assert G.log_likelihood(params, [0.0]).values[0, 0] == pytest.approx(
             -0.5 * math.log(2 * math.pi)
         )
 
     def test_poisson_unit_rate_at_zero(self):
-        params = G.PoissonParams(C.constant([[1.0]]))
+        params = PoissonParams(C.constant([[1.0]]))
         assert G.log_likelihood(params, [0.0]).values[0, 0] == pytest.approx(-1.0)
 
     def test_ordinal_probabilities_from_sigmoid_arithmetic(self):
@@ -144,7 +152,7 @@ class TestLogLikelihood:
         probs = np.concatenate([cdf, [[1.0]]], axis=1) - np.concatenate([[[0.0]], cdf], axis=1)
         assert np.allclose(probs[0], expected)
         assert probs.sum() == pytest.approx(1.0)
-        params = G.OrdinalParams(C.constant(probs), C.constant(thresholds), C.constant(location))
+        params = OrdinalParams(C.constant(probs), C.constant(thresholds), C.constant(location))
         for r in range(3):
             got = G.log_likelihood(params, [float(r)]).values[0, 0]
             assert got == pytest.approx(math.log(expected[r]))
@@ -152,13 +160,13 @@ class TestLogLikelihood:
         assert expected[1] == pytest.approx(0.4621, abs=1e-4)
 
     def test_lognormal_rejects_nonpositive(self):
-        params = G.LogNormalParams(C.constant([[0.0]]), C.constant([[1.0]]))
+        params = LogNormalParams(C.constant([[0.0]]), C.constant([[1.0]]))
         with pytest.raises(ValueError):
             G.log_likelihood(params, [-1.0])
 
     def test_lognormal_jacobian(self):
         # density of ln-Normal(0,1) at x: N(ln x; 0,1) / x
-        params = G.LogNormalParams(C.constant([[0.0]]), C.constant([[1.0]]))
+        params = LogNormalParams(C.constant([[0.0]]), C.constant([[1.0]]))
         x = 2.5
         expected = math.log(
             math.exp(-0.5 * math.log(x) ** 2) / (x * math.sqrt(2 * math.pi))
@@ -170,7 +178,7 @@ class TestNormalizationOracles:
     """Each likelihood integrates/sums to one against an independent oracle."""
 
     def test_normal_quadrature(self):
-        params = G.NormalParams(C.constant([[0.3]]), C.constant([[2.1]]))
+        params = NormalParams(C.constant([[0.3]]), C.constant([[2.1]]))
         sd = math.sqrt(2.1)
         grid = np.linspace(0.3 - 12 * sd, 0.3 + 12 * sd, 40_001)
         dens = np.exp(G.log_likelihood(params, grid).values[:, 0])
@@ -178,14 +186,14 @@ class TestNormalizationOracles:
 
     def test_lognormal_quadrature(self):
         m, v = 0.4, 0.8
-        params = G.LogNormalParams(C.constant([[m]]), C.constant([[v]]))
+        params = LogNormalParams(C.constant([[m]]), C.constant([[v]]))
         u = np.linspace(m - 10 * math.sqrt(v), m + 10 * math.sqrt(v), 40_001)
         x = np.exp(u)
         dens = np.exp(G.log_likelihood(params, x).values[:, 0])
         assert np.trapezoid(dens * x, u) == pytest.approx(1.0, abs=1e-4)  # du = dx/x
 
     def test_poisson_exhaustive_sum(self):
-        params = G.PoissonParams(C.constant([[6.5]]))
+        params = PoissonParams(C.constant([[6.5]]))
         xs = np.arange(0.0, 10_001.0)
         mass = np.exp(G.log_likelihood(params, xs).values[:, 0])
         assert mass.sum() == pytest.approx(1.0, abs=1e-4)
@@ -202,41 +210,41 @@ class TestNormalizationOracles:
 
 class TestMode:
     def test_lognormal_mode(self):
-        params = G.LogNormalParams(C.constant([[0.0]]), C.constant([[1.0]]))
+        params = LogNormalParams(C.constant([[0.0]]), C.constant([[1.0]]))
         assert G.mode(params)[0] == pytest.approx(math.exp(-1.0))
 
     def test_poisson_floor(self):
-        assert G.mode(G.PoissonParams(C.constant([[2.7]])))[0] == 2.0
-        assert G.mode(G.PoissonParams(C.constant([[3.0]])))[0] == 3.0
+        assert G.mode(PoissonParams(C.constant([[2.7]])))[0] == 2.0
+        assert G.mode(PoissonParams(C.constant([[3.0]])))[0] == 3.0
 
     def test_categorical_argmax(self):
-        params = G.CategoricalParams(C.constant([[0.2, 0.5, 0.3]]))
+        params = CategoricalParams(C.constant([[0.2, 0.5, 0.3]]))
         assert G.mode(params)[0] == 1.0
 
     def test_categorical_tie_lowest(self):
-        params = G.CategoricalParams(C.constant([[0.4, 0.4, 0.2]]))
+        params = CategoricalParams(C.constant([[0.4, 0.4, 0.2]]))
         assert G.mode(params)[0] == 0.0
 
 
 class TestSample:
     def test_floored_variance_collapses(self):
-        params = G.NormalParams(C.constant([[5.0]]), C.constant([[G.VAR_FLOOR]]))
+        params = NormalParams(C.constant([[5.0]]), C.constant([[VAR_FLOOR]]))
         draw = params.sample(np.random.default_rng(0))
         assert draw[0] == pytest.approx(5.0, abs=1e-2)
 
     def test_deterministic_categorical(self):
-        params = G.CategoricalParams(C.constant(np.tile([1.0, 0.0, 0.0], (100, 1))))
+        params = CategoricalParams(C.constant(np.tile([1.0, 0.0, 0.0], (100, 1))))
         draws = params.sample(np.random.default_rng(1))
         assert np.all(draws == 0.0)
 
     def test_poisson_monte_carlo_mean(self):
-        params = G.PoissonParams(C.constant(np.full((100_000, 1), 4.0)))
+        params = PoissonParams(C.constant(np.full((100_000, 1), 4.0)))
         draws = params.sample(np.random.default_rng(2))
         assert abs(draws.mean() - 4.0) < 0.05
 
     def test_ordinal_draw_histogram(self):
         probs = np.array([0.5, 0.3, 0.2])
-        params = G.OrdinalParams(
+        params = OrdinalParams(
             C.constant(np.tile(probs, (50_000, 1))),
             C.constant(np.tile([0.0, 1.0], (50_000, 1))),
             C.constant(np.zeros((50_000, 1))),

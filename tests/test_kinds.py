@@ -94,11 +94,9 @@ def test_decode_gives_each_column_its_kind_class(data):
     latent = R.sample_latent(posterior, 0.7, np.random.default_rng(seed))
     liks = G.decode(state.generative, latent, stats)
     assert len(liks) == len(table.schema)
-    blocks = {d: (block, j) for group, block in zip(liks.groups, liks.blocks)
-              for j, d in enumerate(group.columns.tolist())}
     for d, (col, lik) in enumerate(zip(table.schema.columns, liks)):
         assert type(lik) is KINDS[col.kind]
-        block, j = blocks[d]
+        block, j = liks.columns[d]
         assert lik.summary(0, rows) == block.summary(j, rows)  # one column is a one-column block
         ll = G.log_likelihood(lik, table.cells[:, d]).values[mask.observed[:, d]]
         assert np.all(np.isfinite(ll))

@@ -294,7 +294,7 @@ class TestEncoding:
         stats = fit_normalization(table, mask, rows)
         enc = encode_inputs(table, mask, stats, rows)
         for d, (col, (off, _)) in enumerate(zip(table.schema.columns, table.schema.slot_ranges())):
-            if not col.is_numeric:
+            if col.is_nominal:
                 continue
             obs = mask.observed[rows, d]
             if obs.sum() < 2 or stats.scale[d] <= SCALE_FLOOR:
