@@ -2,10 +2,10 @@
 samplers, and Adam.
 
 Everything downstream builds minibatch-sized graphs out of these ops: a node
-wraps a float64 ndarray, remembers its parents, and knows how to push its
-gradient back to them.  Graphs are small (a few hundred nodes) while the
-arrays carry the batch dimension, so training stays fast without any
-framework dependency.
+wraps a float64 ndarray and remembers each parent together with that
+parent's share of the node's gradient.  Graphs are small (a few hundred
+nodes) while the arrays carry the batch dimension, so training stays fast
+without any framework dependency.
 """
 
 from __future__ import annotations
@@ -22,22 +22,27 @@ LOG_2PI = math.log(2.0 * math.pi)
 
 
 class Tensor:
-    """A differentiable array: values, a same-shape grad accumulator, and an
-    optional backward record linking it to its parents.
+    """A differentiable array: values, a same-shape grad accumulator, and the
+    ``(parent, share)`` pairs of the op that made it.
+
+    ``share(grad)`` maps this tensor's grad to one parent's part of it,
+    before the parent's broadcast axes are summed away.  ``backward`` alone
+    skips parents that do not require grad, unbroadcasts and accumulates; a
+    share that writes the parent's grad itself (``take``'s scatter) returns
+    None.
 
     A leaf that requires grad (a parameter) holds a zero grad from the start.
     Every other tensor holds ``grad = None`` until backward writes to it, and
     constants, which do not require grad, are never written.
     """
 
-    __slots__ = ("values", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("values", "grad", "requires_grad", "_parents")
 
-    def __init__(self, values, requires_grad=False, _parents=(), _backward=None):
+    def __init__(self, values, requires_grad=False, _parents=()):
         self.values = np.asarray(values, dtype=np.float64)
         self.grad = np.zeros_like(self.values) if requires_grad and not _parents else None
         self.requires_grad = requires_grad
         self._parents = _parents
-        self._backward = _backward
 
     @property
     def shape(self):
@@ -92,8 +97,6 @@ def _lift(x) -> Tensor:
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum a broadcast gradient back down to the parent's shape."""
-    if grad.shape == shape:
-        return grad
     extra = grad.ndim - len(shape)
     if extra > 0:
         grad = grad.sum(axis=tuple(range(extra)))
@@ -119,17 +122,16 @@ def no_grad():
         _recording = previous
 
 
-def _node(values, parents, backward) -> Tensor:
-    """An op's output; backward(grad) pushes the output's grad to the parents
-    that require grad.
+def _node(values, *pairs) -> Tensor:
+    """An op's output, with one ``(parent, share)`` pair per input.
 
     The output requires grad when a parent does, outside no_grad(); otherwise
-    it is a constant and keeps neither parents nor closure.  The closure holds
-    the parents, never the output, so a dropped graph is freed by reference
-    counting without waiting for the cyclic collector.
+    it is a constant and keeps no pairs.  Shares hold the parents, never the
+    output, so a dropped graph is freed by reference counting without waiting
+    for the cyclic collector.
     """
-    if _recording and any(p.requires_grad for p in parents):
-        return Tensor(values, requires_grad=True, _parents=parents, _backward=backward)
+    if _recording and any(p.requires_grad for p, _ in pairs):
+        return Tensor(values, requires_grad=True, _parents=pairs)
     return Tensor(values)
 
 
@@ -141,155 +143,104 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
         t.grad += g
 
 
+def _same(grad):
+    return grad
+
+
 def add(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
-
-    def back(grad):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(grad, a.values.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(grad, b.values.shape))
-
-    return _node(a.values + b.values, (a, b), back)
+    return _node(a.values + b.values, (a, _same), (b, _same))
 
 
 def sub(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
-
-    def back(grad):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(grad, a.values.shape))
-        if b.requires_grad:
-            _accumulate(b, -_unbroadcast(grad, b.values.shape))
-
-    return _node(a.values - b.values, (a, b), back)
+    return _node(a.values - b.values, (a, _same), (b, np.negative))
 
 
 def mul(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
-
-    def back(grad):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(grad * b.values, a.values.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(grad * a.values, b.values.shape))
-
-    return _node(a.values * b.values, (a, b), back)
+    return _node(a.values * b.values, (a, lambda g: g * b.values), (b, lambda g: g * a.values))
 
 
 def div(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
-
-    def back(grad):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(grad / b.values, a.values.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(-grad * a.values / (b.values * b.values), b.values.shape))
-
-    return _node(a.values / b.values, (a, b), back)
+    return _node(
+        a.values / b.values,
+        (a, lambda g: g / b.values),
+        (b, lambda g: -g * a.values / (b.values * b.values)),
+    )
 
 
 def matmul(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
     if a.values.ndim != 2 or b.values.ndim != 2 or a.values.shape[1] != b.values.shape[0]:
         raise ValueError(f"matmul shape mismatch: {a.values.shape} @ {b.values.shape}")
-
-    def back(grad):
-        if a.requires_grad:
-            _accumulate(a, grad @ b.values.T)
-        if b.requires_grad:
-            _accumulate(b, a.values.T @ grad)
-
-    return _node(a.values @ b.values, (a, b), back)
+    return _node(a.values @ b.values, (a, lambda g: g @ b.values.T), (b, lambda g: a.values.T @ g))
 
 
 def tsum(a, axis=None, keepdims=False) -> Tensor:
     a = _lift(a)
 
-    def back(grad):
+    def share(grad):
         if axis is not None and not keepdims:
             grad = np.expand_dims(grad, axis)
-        _accumulate(a, np.broadcast_to(grad, a.values.shape))
+        return np.broadcast_to(grad, a.values.shape)
 
-    return _node(a.values.sum(axis=axis, keepdims=keepdims), (a,), back)
+    return _node(a.values.sum(axis=axis, keepdims=keepdims), (a, share))
 
 
 def exp(a) -> Tensor:
     a = _lift(a)
     e = np.exp(a.values)
-
-    def back(grad):
-        _accumulate(a, grad * e)
-
-    return _node(e, (a,), back)
+    return _node(e, (a, lambda g: g * e))
 
 
 def log(a) -> Tensor:
     a = _lift(a)
-
-    def back(grad):
-        _accumulate(a, grad / a.values)
-
-    return _node(np.log(a.values), (a,), back)
+    return _node(np.log(a.values), (a, lambda g: g / a.values))
 
 
 def softplus(a) -> Tensor:
     """log(1 + e^x), computed stably for large |x|."""
     a = _lift(a)
-
-    def back(grad):
-        _accumulate(a, grad * expit(a.values))
-
-    return _node(np.logaddexp(0.0, a.values), (a,), back)
+    return _node(np.logaddexp(0.0, a.values), (a, lambda g: g * expit(a.values)))
 
 
 def sigmoid(a) -> Tensor:
     a = _lift(a)
     s = expit(a.values)
-
-    def back(grad):
-        _accumulate(a, grad * s * (1.0 - s))
-
-    return _node(s, (a,), back)
+    return _node(s, (a, lambda g: g * s * (1.0 - s)))
 
 
 def relu(a) -> Tensor:
     a = _lift(a)
-
-    def back(grad):
-        _accumulate(a, grad * (a.values > 0.0))
-
-    return _node(np.maximum(a.values, 0.0), (a,), back)
+    return _node(np.maximum(a.values, 0.0), (a, lambda g: g * (a.values > 0.0)))
 
 
 def clip(a, lo=None, hi=None) -> Tensor:
-    """Hard clamp; gradient passes only where the input is strictly inside."""
+    """Hard clamp; gradient passes where lo <= input <= hi, bounds included."""
     a = _lift(a)
 
-    def back(grad):
+    def share(grad):
         inside = np.ones_like(a.values, dtype=bool)
         if lo is not None:
             inside &= a.values >= lo
         if hi is not None:
             inside &= a.values <= hi
-        _accumulate(a, grad * inside)
+        return grad * inside
 
-    return _node(np.clip(a.values, lo, hi), (a,), back)
+    return _node(np.clip(a.values, lo, hi), (a, share))
 
 
 def concat(parts, axis=1) -> Tensor:
     parts = [_lift(p) for p in parts]
-    sizes = [p.values.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def back(grad):
-        for p, start, stop in zip(parts, offsets[:-1], offsets[1:]):
-            idx = [slice(None)] * grad.ndim
-            idx[axis] = slice(start, stop)
-            if p.requires_grad:
-                _accumulate(p, grad[tuple(idx)])
-
-    return _node(np.concatenate([p.values for p in parts], axis=axis), tuple(parts), back)
+    offsets = np.cumsum([0] + [p.values.shape[axis] for p in parts])
+    pairs = []
+    for p, start, stop in zip(parts, offsets[:-1], offsets[1:]):
+        idx = [slice(None)] * p.values.ndim
+        idx[axis] = slice(start, stop)
+        pairs.append((p, lambda g, idx=tuple(idx): g[idx]))
+    return _node(np.concatenate([p.values for p in parts], axis=axis), *pairs)
 
 
 def narrow(a, start, width, axis=1) -> Tensor:
@@ -298,37 +249,33 @@ def narrow(a, start, width, axis=1) -> Tensor:
 
 
 def take(a, index, axis=1) -> Tensor:
-    """The entries at ``index``, a slice or distinct positions, along an axis."""
+    """The entries at ``index``, a slice or distinct positions, along an axis.
+
+    Its share scatters into the parent's grad in place and returns None."""
     a = _lift(a)
     idx = [slice(None)] * a.values.ndim
     idx[axis] = index
     idx = tuple(idx)
 
-    def back(grad):
+    def scatter(grad):
         if a.grad is None:
             a.grad = np.zeros_like(a.values)
         a.grad[idx] += grad
 
-    return _node(a.values[idx], (a,), back)
+    return _node(a.values[idx], (a, scatter))
 
 
 def reshape(a, shape) -> Tensor:
     a = _lift(a)
-
-    def back(grad):
-        _accumulate(a, grad.reshape(a.values.shape))
-
-    return _node(a.values.reshape(shape), (a,), back)
+    return _node(a.values.reshape(shape), (a, lambda g: g.reshape(a.values.shape)))
 
 
 def cumsum(a, axis=1) -> Tensor:
     a = _lift(a)
-
-    def back(grad):
-        flipped = np.flip(grad, axis=axis)
-        _accumulate(a, np.flip(np.cumsum(flipped, axis=axis), axis=axis))
-
-    return _node(np.cumsum(a.values, axis=axis), (a,), back)
+    return _node(
+        np.cumsum(a.values, axis=axis),
+        (a, lambda g: np.flip(np.cumsum(np.flip(g, axis), axis), axis)),
+    )
 
 
 def softmax(a, axis=-1) -> Tensor:
@@ -359,48 +306,39 @@ def group_dense(x, s, weights, bias) -> Tensor:
     n_x = 0 if x is None else x.values.shape[2]
     W_x = W[:, :n_x]
     W_s = W[:, n_x:].transpose(1, 0, 2).reshape(-1, G * n_out)  # (n_s, G * n_out)
-    parts = []
+    parts, pairs = [], []
     if x is not None:
         parts.append(np.matmul(x.values.transpose(1, 0, 2), W_x).transpose(1, 0, 2))
+        W_xt = W_x.transpose(0, 2, 1)
+        pairs.append((x, lambda g: np.matmul(g.transpose(1, 0, 2), W_xt).transpose(1, 0, 2)))
     if s is not None:
         parts.append((s.values @ W_s).reshape(-1, G, n_out))
+        pairs.append((s, lambda g: g.reshape(-1, G * n_out) @ W_s.T))
 
-    def back(grad):
-        flat = grad.reshape(-1, G * n_out)
-        if weights.requires_grad:
-            g_w = np.empty_like(W)
-            if x is not None:
-                g_w[:, :n_x] = np.matmul(x.values.transpose(1, 2, 0), grad.transpose(1, 0, 2))
-            if s is not None:
-                g_w[:, n_x:] = (s.values.T @ flat).reshape(-1, G, n_out).transpose(1, 0, 2)
-            _accumulate(weights, g_w)
-        if bias.requires_grad:
-            _accumulate(bias, grad.sum(axis=0))
-        if x is not None and x.requires_grad:
-            g_x = np.matmul(grad.transpose(1, 0, 2), W_x.transpose(0, 2, 1))
-            _accumulate(x, g_x.transpose(1, 0, 2))
-        if s is not None and s.requires_grad:
-            _accumulate(s, flat @ W_s.T)
+    def weights_share(grad):
+        g_w = np.empty_like(W)
+        if x is not None:
+            g_w[:, :n_x] = np.matmul(x.values.transpose(1, 2, 0), grad.transpose(1, 0, 2))
+        if s is not None:
+            flat = grad.reshape(-1, G * n_out)
+            g_w[:, n_x:] = (s.values.T @ flat).reshape(-1, G, n_out).transpose(1, 0, 2)
+        return g_w
 
-    inputs = tuple(t for t in (x, s) if t is not None)
     # C order, so that reductions over the output's grad run in one order for every caller
-    return _node(np.ascontiguousarray(sum(parts) + bias.values), (*inputs, weights, bias), back)
+    out = np.ascontiguousarray(sum(parts) + bias.values)
+    return _node(out, *pairs, (weights, weights_share), (bias, lambda g: g.sum(axis=0)))
 
 
 def normal_log_density(x, mu, var) -> Tensor:
     """log N(x; mu, var) elementwise, for constant x; closed-form backward."""
     mu, var = _lift(mu), _lift(var)
     diff = np.asarray(x, dtype=np.float64) - mu.values
-
-    def back(grad):
-        if mu.requires_grad:
-            _accumulate(mu, _unbroadcast(grad * diff / var.values, mu.values.shape))
-        if var.requires_grad:
-            g = grad * 0.5 * (diff * diff / var.values - 1.0) / var.values
-            _accumulate(var, _unbroadcast(g, var.values.shape))
-
     value = -0.5 * LOG_2PI - 0.5 * np.log(var.values) - diff * diff / (var.values * 2.0)
-    return _node(value, (mu, var), back)
+    return _node(
+        value,
+        (mu, lambda g: g * diff / var.values),
+        (var, lambda g: g * 0.5 * (diff * diff / var.values - 1.0) / var.values),
+    )
 
 
 def log_softmax_gather(logits, classes) -> Tensor:
@@ -415,11 +353,11 @@ def log_softmax_gather(logits, classes) -> Tensor:
     total = e.sum(axis=-1, keepdims=True)
     picked = np.take_along_axis(shifted, classes[..., None], axis=-1)[..., 0]
 
-    def back(grad):
+    def share(grad):
         one_hot = np.arange(shifted.shape[-1]) == classes[..., None]
-        _accumulate(logits, (one_hot - e / total) * grad[..., None])
+        return (one_hot - e / total) * grad[..., None]
 
-    return _node(picked - np.log(total[..., 0]), (logits,), back)
+    return _node(picked - np.log(total[..., 0]), (logits, share))
 
 
 def backward(loss: Tensor) -> None:
@@ -427,7 +365,9 @@ def backward(loss: Tensor) -> None:
 
     Interior grads are reset per pass, so calling backward twice doubles the
     leaf gradients, as an accumulator should.  The walk follows only tensors
-    that require grad, so constants are never visited.
+    that require grad, so constants are never visited.  In reverse
+    topological order each node's shares run in pair order, and each result
+    is summed down to its parent's shape and added to the parent's grad.
     """
     if loss.values.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.values.shape}")
@@ -445,7 +385,7 @@ def backward(loss: Tensor) -> None:
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for p in node._parents:
+        for p, _ in node._parents:
             if p.requires_grad and id(p) not in seen:
                 stack.append((p, False))
     for node in topo:
@@ -453,8 +393,15 @@ def backward(loss: Tensor) -> None:
             node.grad = None
     _accumulate(loss, np.ones_like(loss.values))
     for node in reversed(topo):
-        if node._backward is not None:
-            node._backward(node.grad)
+        for parent, share in node._parents:
+            if not parent.requires_grad:
+                continue
+            g = share(node.grad)
+            if g is None:
+                continue
+            if g.shape != parent.values.shape:
+                g = _unbroadcast(g, parent.values.shape)
+            _accumulate(parent, g)
 
 
 def view(t: Tensor, index) -> Tensor:

@@ -25,6 +25,7 @@ from . import recognition as R
 from .tabular import (
     SCALE_FLOOR,
     ColumnSpec,
+    DataError,
     HeterogeneousTable,
     MissingMask,
     NormalizationStats,
@@ -192,11 +193,16 @@ def train(
     Minibatches are reshuffled every epoch from the config seed; a trailing
     short batch is kept.  The returned state carries normalization stats
     fitted on all observed training cells, so inference is deterministic.
-    progress, if given, is called with (epoch, tau, elbo) after every epoch.
+    A column with no observed cell is a DataError, as for the mean/mode
+    baseline.  progress, if given, is called with (epoch, tau, elbo) after
+    every epoch.
     """
     if table.n_rows == 0:
         raise ValueError("table must be nonempty")
     mask.check_shape(table)
+    for col, seen in zip(table.schema.columns, mask.observed.any(axis=0)):
+        if not seen:
+            raise DataError(f"column {col.name!r} has no observed cells")
     rng = np.random.default_rng(config.seed)
     state = build_model(table.schema, config, rng)
     state.stats = _batch_stats(state, table, mask, range(table.n_rows))

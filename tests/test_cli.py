@@ -64,6 +64,22 @@ class TestTrain:
             outs.append(open(out, "rb").read())
         assert outs[0] == outs[1]
 
+    def test_column_without_observed_cells_exits_2(self, tmp_path, capsys):
+        table = B.synthetic_table(40, seed=8)
+        observed = np.ones(table.cells.shape, dtype=bool)
+        observed[:, 3] = False
+        data = tmp_path / "data.csv"
+        write_table(table, data, MissingMask(observed))
+        types = tmp_path / "types.csv"
+        types.write_text(TYPES)
+        out = tmp_path / "m.json"
+        for command in (["train"], ["predict", "--target", "cat_a"]):
+            code = main([*command, "--data", str(data), "--types", str(types),
+                         "--out", str(out), *FAST])
+            assert code == 2
+            assert "column 'count_a' has no observed cells" in capsys.readouterr().err
+            assert not out.exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
     def test_no_norm_overflow_exits_3(self, tmp_path):
         # an extreme-range raw column overflows the unnormalized objective

@@ -16,7 +16,14 @@ from hivae import recognition as R
 from hivae import training as T
 from hivae.cli import main
 from hivae.imputation import impute_map
-from hivae.tabular import ColumnSpec, HeterogeneousTable, MissingMask, Schema, write_table
+from hivae.tabular import (
+    ColumnSpec,
+    DataError,
+    HeterogeneousTable,
+    MissingMask,
+    Schema,
+    write_table,
+)
 
 from conftest import finite_difference, max_rel_err
 
@@ -283,6 +290,16 @@ class TestTrain:
             assert n1 == n2
             assert np.array_equal(p1.values, p2.values)
         assert s1.training_log == s2.training_log
+
+    def test_column_without_observed_cells_is_a_data_error(self, small_synthetic):
+        table, mask = small_synthetic
+        observed = mask.observed.copy()
+        observed[:, 2] = False
+        config = T.TrainConfig(dim_z=3, dim_s=2, dim_y=2, epochs=1, batch_size=16, seed=9)
+        with pytest.raises(DataError, match=r"^column 'pos_a' has no observed cells$"):
+            T.train(table, MissingMask(observed), config)
+        with pytest.raises(DataError, match=r"^column 'pos_a' has no observed cells$"):
+            B.mean_mode_impute(table, MissingMask(observed))
 
     def test_zero_epochs_rejected(self):
         with pytest.raises(ValueError):
