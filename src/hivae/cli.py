@@ -25,6 +25,7 @@ from .training import (
     load_model,
     save_model,
     train,
+    write_json,
 )
 
 
@@ -178,13 +179,6 @@ def cmd_impute(args) -> int:
     return 0
 
 
-def _write_json(path, doc) -> None:
-    with open(path, "w") as fh:
-        # dumps runs the C encoder; dump would run the pure-Python one
-        fh.write(json.dumps(doc, sort_keys=True))
-        fh.write("\n")
-
-
 def _print_report(report: B.MetricsReport) -> None:
     print(
         f"method={report.method} fraction={report.fraction:g} repeat={report.repeat} "
@@ -202,7 +196,7 @@ def cmd_evaluate(args) -> int:
             raise TabularError(f"{name}: must be a complete table (no empty cells)")
     mask = load_mask(args.mask)
     report = B.score_imputation(truth, imputed, mask, method="evaluate", fraction=0.0)
-    _write_json(args.out, asdict(report))
+    write_json(args.out, asdict(report))
     for score in report.per_column:
         print(f"{score.name}: {score.metric}={score.value:.4f} over {score.n_cells} cells")
     print(f"avg_err={report.avg_err:.4f}")
@@ -224,7 +218,7 @@ def cmd_benchmark(args) -> int:
             raise TabularError(f"{args.data}: must be a complete table (no empty cells)")
     config = _config(args)
     reports = B.run_benchmark(table, config, fractions, args.repeats, methods, args.seed)
-    _write_json(args.out, [asdict(r) for r in reports])
+    write_json(args.out, [asdict(r) for r in reports])
     for report in reports:
         _print_report(report)
     return 0
@@ -251,7 +245,7 @@ def cmd_predict(args) -> int:
             for r, p, v in zip(outcome.held_out_rows, outcome.predicted, outcome.truth)
         ],
     }
-    _write_json(args.out, doc)
+    write_json(args.out, doc)
     print(f"accuracy_error={outcome.accuracy_error:.4f} over {doc['n_held_out']} held-out labels")
     return 0
 

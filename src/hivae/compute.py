@@ -44,15 +44,8 @@ class Tensor:
         self.requires_grad = requires_grad
         self._parents = _parents
 
-    @property
-    def shape(self):
-        return self.values.shape
-
     def __repr__(self):
         return f"Tensor(shape={self.values.shape}, requires_grad={self.requires_grad})"
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
 
     def __add__(self, other):
         return add(self, other)
@@ -73,14 +66,8 @@ class Tensor:
     def __truediv__(self, other):
         return div(self, other)
 
-    def __rtruediv__(self, other):
-        return div(_lift(other), self)
-
     def __neg__(self):
         return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def parameter(values) -> Tensor:

@@ -99,9 +99,6 @@ class ModelState:
     def parameters(self) -> list[C.Tensor]:
         return list(named_parameters(self).values())
 
-    def fingerprint(self) -> str:
-        return self.schema.fingerprint()
-
 
 def build_model(schema: Schema, config: TrainConfig, rng) -> ModelState:
     encoder = R.build_encoder(
@@ -149,8 +146,10 @@ def elbo_batch(
 ) -> C.Tensor:
     """Single-sample ELBO of a set of rows, as a differentiable scalar.
 
-    Normalization stats are fitted on this batch (training behaviour); the
-    reconstruction term runs over observed cells only.
+    Normalization stats are fitted on this batch (training behaviour).  The
+    reconstruction is one masked sum: the groups' (B, G) log-likelihood
+    blocks, side by side in group column order, times the observed mask in
+    that order, so missing cells contribute nothing.
     """
     rows = np.asarray(rows, dtype=np.intp)
     if rows.size == 0:
@@ -161,12 +160,13 @@ def elbo_batch(
 
     cells, observed = table.cells[rows], mask.observed[rows]
     decoded = G.decode(state.generative, latent, stats)
-    recon = None
+    blocks = []
     for group, block in zip(decoded.groups, decoded.blocks):
         obs = observed[:, group.columns]
         x = np.where(obs, cells[:, group.columns], group.kind_class.safe_value)  # in-support
-        term = C.tsum(G.log_likelihood(block, x) * obs.astype(np.float64))
-        recon = term if recon is None else recon + term
+        blocks.append(G.log_likelihood(block, x))
+    order = np.concatenate([group.columns for group in decoded.groups])
+    recon = C.tsum(C.concat(blocks, axis=1) * observed[:, order].astype(np.float64))
 
     mu_p = C.matmul(latent.s_soft, state.generative.prior_mu_table)
     kl_z = C.tsum(gaussian_kl(latent.z_mu, latent.z_log_var, mu_p))
@@ -245,7 +245,7 @@ def save_model(state: ModelState, path) -> None:
         "version": MODEL_VERSION,
         "config": asdict(state.config),
         "schema": [[c.name, c.kind, c.cardinality] for c in state.schema.columns],
-        "schema_fingerprint": state.fingerprint(),
+        "schema_fingerprint": state.schema.fingerprint(),
         "stats": [
             None if c.is_nominal else [shift, scale, c.kind_class.domain]
             for c, shift, scale in zip(state.schema.columns, state.stats.shift, state.stats.scale)
@@ -256,6 +256,10 @@ def save_model(state: ModelState, path) -> None:
             for name, t in named_parameters(state).items()
         },
     }
+    write_json(path, doc)
+
+
+def write_json(path, doc) -> None:
     with open(path, "w") as fh:
         # dumps runs the C encoder; dump would run the pure-Python one
         fh.write(json.dumps(doc, sort_keys=True))
@@ -320,8 +324,8 @@ def load_model(path) -> ModelState:
 
 
 def require_schema(state: ModelState, table: HeterogeneousTable) -> None:
-    if state.fingerprint() != table.schema.fingerprint():
+    if state.schema.fingerprint() != table.schema.fingerprint():
         raise ModelFormatError(
-            f"schema fingerprint mismatch: model {state.fingerprint()} "
+            f"schema fingerprint mismatch: model {state.schema.fingerprint()} "
             f"vs data {table.schema.fingerprint()}"
         )

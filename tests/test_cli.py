@@ -246,6 +246,13 @@ class TestBenchmark:
                      "--out", str(tmp_path / "b.json")])
         assert code == 2
 
+    def test_data_without_types_is_usage_error(self, dataset, tmp_path, capsys):
+        _, _, data, _, _ = dataset
+        code = main(["benchmark", "--data", data, "--out", str(tmp_path / "b.json")])
+        assert code == 1
+        assert "--types is required with --data" in capsys.readouterr().err
+        assert not (tmp_path / "b.json").exists()
+
     def test_synthetic_grid(self, tmp_path):
         out = str(tmp_path / "bench.json")
         code = main(["benchmark", "--synthetic", "--rows", "50",

@@ -2,6 +2,7 @@
 
 import gc
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -218,8 +219,9 @@ class TestEveryOpGradient:
     @pytest.mark.parametrize("name", sorted(OPS))
     def test_matches_finite_differences(self, name):
         # inputs bounded away from 0 keep the true gradients well above the
-        # finite-difference noise floor
-        rng = np.random.default_rng(sorted(OPS).index(name))
+        # finite-difference noise floor; the seed depends on the name alone,
+        # so adding an entry leaves the other entries' draws as they were
+        rng = np.random.default_rng(zlib.crc32(name.encode()))
         signs = rng.choice([-1.0, 1.0], size=(3, 3))
         a = C.parameter(signs * rng.uniform(0.2, 0.9, size=(3, 3)))
         b = C.parameter(-signs * rng.uniform(0.2, 0.9, size=(3, 3)))

@@ -1,6 +1,7 @@
 """Loader, normalization, and encoding behaviour of the tabular layer."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -117,6 +118,37 @@ class TestLoader:
         types = write(tmp_path / "t.csv", "a,gaussian\n")
         with pytest.raises(SchemaError, match="gaussian"):
             load_dataset(data, types)
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("a,real,x,3\n", "t.csv:1: expected 'name,kind[,cardinality]'"),
+            ("a,real\nc,cat,three\n", "t.csv:2: cardinality 'three' is not an integer"),
+        ],
+        ids=["field_count", "cardinality"],
+    )
+    def test_bad_types_file(self, tmp_path, text, message):
+        data = write(tmp_path / "d.csv", "1,0\n")
+        types = write(tmp_path / "t.csv", text)
+        with pytest.raises(SchemaError, match=re.escape(message)):
+            load_dataset(data, types)
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("1,1\n1,2\n", "m.csv:2, column 2: mask entry must be 0 or 1"),
+            ("1,1\n1\n", "m.csv: ragged mask rows (widths [1, 2])"),
+            ("", "m.csv: empty mask file"),
+            ("1,1\n", "m.csv: mask shape (1, 2) != data shape (2, 2)"),
+        ],
+        ids=["entry", "ragged", "empty", "shape"],
+    )
+    def test_bad_mask_file(self, tmp_path, text, message):
+        data = write(tmp_path / "d.csv", "1,2\n3,4\n")
+        types = write(tmp_path / "t.csv", "a,real\nb,real\n")
+        maskf = write(tmp_path / "m.csv", text)
+        with pytest.raises(DataError, match=re.escape(message)):
+            load_dataset(data, types, maskf)
 
     def test_mask_file_controls_observedness(self, tmp_path):
         data = write(tmp_path / "d.csv", "1,2\n3,4\n")

@@ -305,6 +305,21 @@ class TestTrain:
         with pytest.raises(ValueError):
             T.TrainConfig(epochs=0)
 
+    @pytest.mark.parametrize(
+        "fields,message",
+        [
+            ({"dim_z": 0}, "dim_z, dim_s, dim_y must all be >= 1"),
+            ({"dim_y": -1}, "dim_z, dim_s, dim_y must all be >= 1"),
+            ({"layers": 3}, "layers must be 1 or 2"),
+            ({"batch_size": 0}, "batch_size must be >= 1"),
+            ({"tau_start": 0.5, "tau_end": 0.6}, "need 0 < tau_end <= tau_start"),
+        ],
+        ids=["dim_z", "dim_y", "layers", "batch_size", "tau_order"],
+    )
+    def test_invalid_config_rejected(self, fields, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            T.TrainConfig(**fields)
+
     def test_tau_anneals_linearly(self):
         config = T.TrainConfig(epochs=3, tau_start=1.0, tau_end=0.001)
         taus = [T.tau_schedule(e, config) for e in range(3)]
@@ -521,6 +536,37 @@ class TestPersistence:
         doc["version"] = 99
         path.write_text(json.dumps(doc))
         with pytest.raises(T.ModelFormatError, match="version"):
+            T.load_model(path)
+
+    @pytest.mark.parametrize(
+        "corruption,message",
+        [
+            ("format", "not a model file (format 'other-model')"),
+            ("missing_parameter", "parameter set does not match architecture"),
+            ("extra_parameter", "parameter set does not match architecture"),
+            ("parameter_shape", "parameter gen.g.0.w has shape (14, 2), expected (2, 14)"),
+        ],
+    )
+    def test_model_not_matching_architecture_is_rejected(
+        self, small_synthetic, tmp_path, corruption, message
+    ):
+        table, mask = small_synthetic
+        config = T.TrainConfig(dim_z=2, dim_s=2, dim_y=2, epochs=1, batch_size=20, seed=0)
+        path = tmp_path / "model.json"
+        T.save_model(T.train(table, mask, config), path)
+        doc = json.loads(path.read_text())
+        params = doc["params"]
+        if corruption == "format":
+            doc["format"] = "other-model"
+        elif corruption == "missing_parameter":
+            del params["gen.head0.loc.0.b"]
+        elif corruption == "extra_parameter":
+            params["gen.head7.loc.0.b"] = params["gen.head0.loc.0.b"]
+        else:  # the right values with the two dimensions swapped
+            assert params["gen.g.0.w"]["shape"] == [2, 14]
+            params["gen.g.0.w"]["shape"] = [14, 2]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(T.ModelFormatError, match=re.escape(message)):
             T.load_model(path)
 
     def test_schema_fingerprint_mismatch_on_impute(self, small_synthetic):
