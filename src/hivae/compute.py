@@ -165,6 +165,18 @@ def matmul(a, b) -> Tensor:
     return _node(a.values @ b.values, (a, lambda g: g @ b.values.T), (b, lambda g: a.values.T @ g))
 
 
+def linear(x, weights, bias) -> Tensor:
+    """x @ weights + bias in one op, rounded as add(matmul(x, weights), bias) is."""
+    x = _lift(x)
+    W = weights.values
+    return _node(
+        x.values @ W + bias.values,
+        (x, lambda g: g @ W.T),
+        (weights, lambda g: x.values.T @ g),
+        (bias, _same),
+    )
+
+
 def tsum(a, axis=None, keepdims=False) -> Tensor:
     a = _lift(a)
 
@@ -235,6 +247,21 @@ def narrow(a, start, width, axis=1) -> Tensor:
     return take(a, slice(start, start + width), axis)
 
 
+def narrow_clip(a, start, width, lo, hi) -> Tensor:
+    """clip(narrow(a, start, width), lo, hi) along axis 1 in one op; the
+    gradient passes where lo <= input <= hi, bounds included."""
+    a = _lift(a)
+    index = (slice(None), slice(start, start + width))
+    part = a.values[index]
+
+    def share(grad):
+        g = np.zeros_like(a.values)
+        g[index] = grad * ((part >= lo) & (part <= hi))
+        return g
+
+    return _node(np.clip(part, lo, hi), (a, share))
+
+
 def take(a, index, axis=1) -> Tensor:
     """The entries at ``index``, a slice or distinct positions, along an axis.
 
@@ -273,17 +300,12 @@ def softmax(a, axis=-1) -> Tensor:
     return div(e, tsum(e, axis=axis, keepdims=True))
 
 
-def log_softmax(a, axis=-1) -> Tensor:
-    a = _lift(a)
-    shifted = sub(a, constant(a.values.max(axis=axis, keepdims=True)))
-    return sub(shifted, log(tsum(exp(shifted), axis=axis, keepdims=True)))
-
-
-def group_dense(x, s, weights, bias) -> Tensor:
+def group_dense(x, s, weights, bias, squeeze=False) -> Tensor:
     """G per-column dense layers in one op, (B, G, n_out): column g maps its
     own input x[:, g] (B, G, n_x) and the shared s (B, n_s) through
     weights[g] (G, n_x + n_s, n_out), rows :n_x for x and the rest for s, plus
-    bias[g] (G, n_out).  Either input may be None (n_x or n_s = 0).
+    bias[g] (G, n_out).  Either input may be None (n_x or n_s = 0).  With
+    squeeze, a width-1 output is returned as its (B, G) block.
 
     The x rows are one batched matmul over G and the s rows one s @ W_s over
     all G at once, so the (B, G, n_x + n_s) concatenation is never built.
@@ -291,13 +313,16 @@ def group_dense(x, s, weights, bias) -> Tensor:
     W = weights.values
     G, _, n_out = W.shape
     n_x = 0 if x is None else x.values.shape[2]
+    shape = (-1, G, n_out)  # the output's grad, as each share reads it
     W_x = W[:, :n_x]
     W_s = W[:, n_x:].transpose(1, 0, 2).reshape(-1, G * n_out)  # (n_s, G * n_out)
     parts, pairs = [], []
     if x is not None:
         parts.append(np.matmul(x.values.transpose(1, 0, 2), W_x).transpose(1, 0, 2))
         W_xt = W_x.transpose(0, 2, 1)
-        pairs.append((x, lambda g: np.matmul(g.transpose(1, 0, 2), W_xt).transpose(1, 0, 2)))
+        pairs.append(
+            (x, lambda g: np.matmul(g.reshape(shape).transpose(1, 0, 2), W_xt).transpose(1, 0, 2))
+        )
     if s is not None:
         parts.append((s.values @ W_s).reshape(-1, G, n_out))
         pairs.append((s, lambda g: g.reshape(-1, G * n_out) @ W_s.T))
@@ -305,7 +330,8 @@ def group_dense(x, s, weights, bias) -> Tensor:
     def weights_share(grad):
         g_w = np.empty_like(W)
         if x is not None:
-            g_w[:, :n_x] = np.matmul(x.values.transpose(1, 2, 0), grad.transpose(1, 0, 2))
+            g_out = grad.reshape(shape).transpose(1, 0, 2)
+            g_w[:, :n_x] = np.matmul(x.values.transpose(1, 2, 0), g_out)
         if s is not None:
             flat = grad.reshape(-1, G * n_out)
             g_w[:, n_x:] = (s.values.T @ flat).reshape(-1, G, n_out).transpose(1, 0, 2)
@@ -313,7 +339,12 @@ def group_dense(x, s, weights, bias) -> Tensor:
 
     # C order, so that reductions over the output's grad run in one order for every caller
     out = np.ascontiguousarray(sum(parts) + bias.values)
-    return _node(out, *pairs, (weights, weights_share), (bias, lambda g: g.sum(axis=0)))
+    return _node(
+        out.reshape(-1, G) if squeeze else out,
+        *pairs,
+        (weights, weights_share),
+        (bias, lambda g: g.reshape(shape).sum(axis=0)),
+    )
 
 
 def normal_log_density(x, mu, var) -> Tensor:
@@ -345,6 +376,63 @@ def log_softmax_gather(logits, classes) -> Tensor:
         return (one_hot - e / total) * grad[..., None]
 
     return _node(picked - np.log(total[..., 0]), (logits, share))
+
+
+def cumulative_logit_log_prob(thresholds, location, classes) -> Tensor:
+    """log P(classes) under the cumulative-logit model, shape classes.shape:
+    log(sigmoid(t_c - loc) - sigmoid(t_(c-1) - loc)) for increasing
+    thresholds t (..., R-1) and location loc (...), with t_(-1) = -inf and
+    t_(R-1) = +inf.
+
+    At the class's edges a < b it is log sigmoid(b) + log sigmoid(-a) +
+    log(1 - e^(a-b)), so a class whose probability underflows still has a
+    finite log-probability and a nonzero gradient.
+    """
+    thresholds, location = _lift(thresholds), _lift(location)
+    inf = np.full(thresholds.values.shape[:-1] + (1,), np.inf)
+    edges = np.concatenate([-inf, thresholds.values, inf], axis=-1) - location.values[..., None]
+    lower = classes[..., None]
+    a = np.take_along_axis(edges, lower, axis=-1)[..., 0]
+    b = np.take_along_axis(edges, lower + 1, axis=-1)[..., 0]
+    value = -np.logaddexp(0.0, -b) - np.logaddexp(0.0, a) + np.log(-np.expm1(a - b))
+    inv_gap = 1.0 / np.expm1(b - a)
+    d_a, d_b = -expit(a) - inv_gap, expit(-b) + inv_gap  # d value / d edge
+
+    def thresholds_share(grad):
+        g = np.zeros(edges.shape)
+        np.put_along_axis(g, lower, (grad * d_a)[..., None], axis=-1)
+        np.put_along_axis(g, lower + 1, (grad * d_b)[..., None], axis=-1)
+        return g[..., 1:-1]
+
+    return _node(
+        value, (thresholds, thresholds_share), (location, lambda g: -(g * (d_a + d_b)))
+    )
+
+
+def gaussian_kl(mu_q, log_var_q, mu_p) -> Tensor:
+    """KL( N(mu_q, diag e^log_var_q) || N(mu_p, I) ) per row of (B, K) moments."""
+    mu_q, log_var_q, mu_p = _lift(mu_q), _lift(log_var_q), _lift(mu_p)
+    diff = mu_p.values - mu_q.values
+    var = np.exp(log_var_q.values)
+    terms = var + diff * diff - 1.0 - log_var_q.values
+    return _node(
+        terms.sum(axis=1) * 0.5,
+        (mu_q, lambda g: -(g[:, None] * diff)),
+        (log_var_q, lambda g: g[:, None] * 0.5 * (var - 1.0)),
+        (mu_p, lambda g: g[:, None] * diff),
+    )
+
+
+def uniform_kl(logits) -> Tensor:
+    """KL( softmax(logits) || uniform ) per row of (B, L) logits: log L minus
+    the entropy.  Its gradient is p * (log p + log L - KL)."""
+    logits = _lift(logits)
+    shifted = logits.values - logits.values.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    p = e / e.sum(axis=1, keepdims=True)
+    log_ratio = shifted - np.log(e.sum(axis=1, keepdims=True)) + math.log(p.shape[1])
+    kl = (p * log_ratio).sum(axis=1)
+    return _node(kl, (logits, lambda g: g[:, None] * p * (log_ratio - kl[:, None])))
 
 
 def backward(loss: Tensor) -> None:
@@ -438,7 +526,7 @@ def forward_dense(layer: DenseLayer, x: Tensor) -> Tensor:
         raise ValueError(
             f"dense layer expects (batch, {layer.n_in}), got {x.values.shape}"
         )
-    y = add(matmul(x, layer.weights), layer.bias)
+    y = linear(x, layer.weights, layer.bias)
     if layer.activation == "relu":
         return relu(y)
     if layer.activation == "softplus":
@@ -461,11 +549,12 @@ def forward_stack(layers, x: Tensor) -> Tensor:
     return x
 
 
-def forward_group_stack(layers, x, s) -> Tensor:
+def forward_group_stack(layers, x, s, squeeze=False) -> Tensor:
     """A stack of stacked per-column layers (weights (G, n_in, n_out)); the
-    first layer reads x (B, G, n_x) and the shared s, later ones only x."""
+    first layer reads x (B, G, n_x) and the shared s, later ones only x.
+    With squeeze, a width-1 last layer gives its (B, G) block."""
     for layer in layers:
-        x = group_dense(x, s, layer.weights, layer.bias)
+        x = group_dense(x, s, layer.weights, layer.bias, squeeze and layer is layers[-1])
         if layer.activation == "relu":
             x = relu(x)
         s = None
@@ -488,22 +577,33 @@ def named_stacks(stacks: dict) -> dict[str, Tensor]:
 
 
 def sample_gaussian_reparam(mu: Tensor, log_var: Tensor, rng) -> Tensor:
-    """mu + exp(log_var/2) * eps with eps ~ N(0, 1); differentiable in both."""
+    """mu + exp(log_var/2) * eps with eps ~ N(0, 1), log_var clamped to
+    +-LOG_VAR_CLAMP first; one op, differentiable in both."""
+    mu, log_var = _lift(mu), _lift(log_var)
     if mu.values.shape != log_var.values.shape:
         raise ValueError("mu/log_var shape mismatch")
-    eps = constant(rng.standard_normal(mu.values.shape))
-    lv = clip(log_var, -LOG_VAR_CLAMP, LOG_VAR_CLAMP)
-    return add(mu, mul(exp(mul(lv, 0.5)), eps))
+    eps = rng.standard_normal(mu.values.shape)
+    lv = log_var.values
+    std = np.exp(np.clip(lv, -LOG_VAR_CLAMP, LOG_VAR_CLAMP) * 0.5)
+    inside = (lv >= -LOG_VAR_CLAMP) & (lv <= LOG_VAR_CLAMP)
+    return _node(
+        mu.values + std * eps, (mu, _same), (log_var, lambda g: g * eps * std * 0.5 * inside)
+    )
 
 
 def sample_gumbel_softmax(logits: Tensor, tau: float, rng) -> Tensor:
-    """softmax((logits + Gumbel noise)/tau); positive, sums to 1 along axis 1."""
+    """softmax((logits + Gumbel noise)/tau); positive, sums to 1 along the
+    last axis.  One op: the softmax Jacobian-vector product is
+    s * (g - sum(g * s)), divided by tau."""
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
     logits = _lift(logits)
     u = np.clip(rng.random(logits.values.shape), 1e-12, 1.0 - 1e-12)
-    gumbel = constant(-np.log(-np.log(u)))
-    return softmax(div(add(logits, gumbel), tau), axis=-1)
+    y = (logits.values - np.log(-np.log(u))) / tau  # plus the Gumbel noise -log(-log(u))
+    shifted = y - y.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    s = e / e.sum(axis=-1, keepdims=True)
+    return _node(s, (logits, lambda g: s * (g - (g * s).sum(axis=-1, keepdims=True)) / tau))
 
 
 # ---------------------------------------------------------------------------

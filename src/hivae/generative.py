@@ -144,8 +144,11 @@ def decode(nets: GenerativeNets, latent: LatentSample, stats: NormalizationStats
     blocks = []
     for head in nets.heads:
         kind, idx = head.group.kind_class, head.group.columns
-        loc = C.forward_group_stack(head.loc_layers, C.take(Y, idx), s)
-        raw_scale = C.forward_group_stack(head.scale_layers, None, s) if head.scale_layers else None
+        loc_scalar, scale_scalar = kind.scalar_heads
+        loc = C.forward_group_stack(head.loc_layers, C.take(Y, idx), s, loc_scalar)
+        raw_scale = None
+        if head.scale_layers:
+            raw_scale = C.forward_group_stack(head.scale_layers, None, s, scale_scalar)
         blocks.append(kind.from_head(loc, raw_scale, stats.shift[idx], stats.scale[idx]))
     return Decoded(tuple(head.group for head in nets.heads), tuple(blocks))
 

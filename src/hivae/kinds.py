@@ -8,24 +8,28 @@
 
 Class attributes and classmethods are the column rules: nominal or not, encoder
 width and block (standardized slot, one-hot or thermometer), transform and its
-domain, support, CSV cell format, decoder head widths (location, scale) and the
-step from head outputs to parameters, missing-cell stand-in, mean/mode baseline
-and metric.  ``encode`` and ``from_head`` take the columns' normalization
-shifts and scales, which the nominal kinds ignore.
+domain, support, CSV cell format, decoder head widths (location, scale), which
+heads are read as (B, G) blocks, the step from head outputs to parameters,
+missing-cell stand-in, mean/mode baseline and metric.  ``encode`` and
+``from_head`` take the columns' normalization shifts and scales, which the
+nominal kinds ignore.
 
 An instance is a block: the decoded distributions of the G columns of one
 (kind, cardinality) group for every batch row, with scalar parameters of shape
 (B, G) and vector parameters of shape (B, G, R).  ``log_prob`` and ``mode``
 work on the whole block, ``sample`` and ``summary`` on one of its columns.
-``column(j)`` gives column j's own parameters, (B, 1) scalars and (B, R)
-vectors, which the same methods accept as a one-column block.  Column views
-exist for the ``generative.Decoded[d]`` entry point; the package itself works
-on blocks.
+The discrete kinds' ``probs`` are built from the decoded logits or cumulative
+logits on first read, so the ELBO, which reads only ``log_prob``, never
+builds them.  ``column(j)`` gives column j's own parameters, (B, 1) scalars
+and (B, R) vectors, which the same methods accept as a one-column block.
+Column views exist for the ``generative.Decoded[d]`` entry point; the package
+itself works on blocks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 from scipy.special import gammaln
@@ -35,7 +39,6 @@ from . import compute as C
 VAR_FLOOR = 1e-6
 RATE_FLOOR = 1e-6
 GAP_FLOOR = 1e-6
-PROB_FLOOR = 1e-30
 
 
 def _block(x) -> np.ndarray:
@@ -44,14 +47,14 @@ def _block(x) -> np.ndarray:
     return x if x.ndim == 2 else x.reshape(-1, 1)
 
 
-def _scalar(head: C.Tensor) -> C.Tensor:
-    """A (B, G, 1) head output as its (B, G) block."""
-    return C.reshape(head, head.values.shape[:2])
-
-
 def _grouped(values: np.ndarray) -> np.ndarray:
     """Vector parameters as (B, G, R); one column's own (B, R) is G = 1."""
     return values[:, None] if values.ndim == 2 else values
+
+
+def _grouped_tensor(t: C.Tensor) -> C.Tensor:
+    """_grouped for a tensor, differentiable back into one column's (B, R)."""
+    return C.reshape(t, (-1, 1, t.values.shape[1])) if t.values.ndim == 2 else t
 
 
 def _column_of(t: C.Tensor, j: int) -> C.Tensor:
@@ -67,6 +70,7 @@ class _Kind:
     nominal = False
     support = "a finite value"  # formatted with last = cardinality - 1
     safe_value = 0.0  # in-support stand-in for a missing cell; its term is masked out
+    scalar_heads = (True, True)  # (loc, scale) head outputs read as (B, G) blocks
     metric = "nrmse"
     format_cell = staticmethod(lambda value: repr(float(value)))
     unsupported = staticmethod(lambda x, cardinality: False)  # x: a float or an array
@@ -113,9 +117,9 @@ class NormalParams(_Kind):
 
     @classmethod
     def from_head(cls, loc: C.Tensor, raw_scale: C.Tensor, shift, scale):
-        raw_var = C.clip(C.softplus(_scalar(raw_scale)), lo=VAR_FLOOR)
+        raw_var = C.clip(C.softplus(raw_scale), lo=VAR_FLOOR)
         squares = np.array([s**2 for s in scale])  # scalar pow: an array square rounds some apart
-        return cls(_scalar(loc) * scale + shift, raw_var * squares)
+        return cls(loc * scale + shift, raw_var * squares)
 
     def log_prob(self, x) -> C.Tensor:
         return C.normal_log_density(_block(x), self.mu, self.var)
@@ -178,7 +182,7 @@ class PoissonParams(_Kind):
 
     @classmethod
     def from_head(cls, loc: C.Tensor, raw_scale, shift, scale):
-        return cls(C.clip(C.softplus(_scalar(loc)), lo=RATE_FLOOR))
+        return cls(C.clip(C.softplus(loc), lo=RATE_FLOOR))
 
     def log_prob(self, x) -> C.Tensor:
         xv = self._checked(_block(x))
@@ -196,8 +200,7 @@ class PoissonParams(_Kind):
 
 @dataclass(frozen=True)
 class CategoricalParams(_Kind):
-    probs: C.Tensor  # (B, G, R) rows on the simplex
-    logits: C.Tensor | None = field(default=None, kw_only=True)  # softmax inputs, when decoded
+    logits: C.Tensor | None = field(default=None, kw_only=True)  # (B, G, R); ordinals have none
 
     kind = "cat"
     nominal = True
@@ -206,6 +209,7 @@ class CategoricalParams(_Kind):
     unsupported = staticmethod(lambda x, cardinality: (x % 1 != 0) | (x < 0) | (x >= cardinality))
     format_cell = staticmethod(lambda value: str(int(value)))
     head_widths = staticmethod(lambda cardinality: (cardinality - 1, 0))
+    scalar_heads = (False, False)
     block_rule = staticmethod(np.equal)  # slot j of class r is set where rule(j, r): one-hot
 
     @classmethod
@@ -221,18 +225,17 @@ class CategoricalParams(_Kind):
     @classmethod
     def from_head(cls, loc: C.Tensor, raw_scale, shift, scale):
         zeros = C.constant(np.zeros(loc.values.shape[:2] + (1,)))
-        logits = C.concat([zeros, loc], axis=2)
-        return cls(C.softmax(logits, axis=2), logits=logits)
+        return cls(logits=C.concat([zeros, loc], axis=2))
+
+    @cached_property
+    def probs(self) -> C.Tensor:
+        """(B, G, R) rows on the simplex, built on first read."""
+        return C.softmax(self.logits, axis=-1)
 
     def log_prob(self, x) -> C.Tensor:
-        R = self.probs.values.shape[-1]
+        R = self.logits.values.shape[-1]
         classes = self._checked(_block(x), R).astype(np.intp)
-        logits = self.logits
-        if logits is None:  # ordinals: the log-probabilities are softmax inputs too
-            logits = C.log(C.clip(self.probs, lo=PROB_FLOOR))
-        if logits.values.ndim == 2:
-            logits = C.reshape(logits, (-1, 1, R))
-        return C.log_softmax_gather(logits, classes)
+        return C.log_softmax_gather(_grouped_tensor(self.logits), classes)
 
     def mode(self) -> np.ndarray:
         return np.argmax(_grouped(self.probs.values), axis=2).astype(np.float64)
@@ -257,16 +260,29 @@ class OrdinalParams(CategoricalParams):
     kind = "ordinal"
     metric = "displacement"
     head_widths = staticmethod(lambda cardinality: (1, cardinality - 1))
+    scalar_heads = (True, False)
     block_rule = staticmethod(np.less_equal)  # thermometer: class r sets slots 0..r
 
     @classmethod
     def from_head(cls, loc: C.Tensor, raw_scale: C.Tensor, shift, scale):
         thresholds = C.cumsum(C.clip(C.softplus(raw_scale), lo=GAP_FLOOR), axis=2)
-        cdf = C.sigmoid(thresholds - loc)
-        ones = C.constant(np.ones(loc.values.shape))
-        zeros = C.constant(np.zeros(loc.values.shape))
-        probs = C.concat([cdf, ones], axis=2) - C.concat([zeros, cdf], axis=2)
-        return cls(probs, thresholds, _scalar(loc))
+        return cls(thresholds, loc)
+
+    @cached_property
+    def probs(self) -> C.Tensor:
+        """Adjacent differences of the cdf sigmoid(threshold - location), built on first read."""
+        location = self.location
+        if location.values.ndim < self.thresholds.values.ndim:  # a block's (B, G)
+            location = C.reshape(location, location.values.shape + (1,))
+        cdf = C.sigmoid(self.thresholds - location)
+        ones = C.constant(np.ones(location.values.shape))
+        zeros = C.constant(np.zeros(location.values.shape))
+        return C.concat([cdf, ones], axis=-1) - C.concat([zeros, cdf], axis=-1)
+
+    def log_prob(self, x) -> C.Tensor:
+        R = self.thresholds.values.shape[-1] + 1
+        classes = self._checked(_block(x), R).astype(np.intp)
+        return C.cumulative_logit_log_prob(_grouped_tensor(self.thresholds), self.location, classes)
 
     def summary(self, j: int, rows) -> list[dict]:
         records = super().summary(j, rows)

@@ -72,12 +72,15 @@ def build_encoder(
     )
 
 
+def _moments(out: C.Tensor, dim_z: int) -> tuple[C.Tensor, C.Tensor]:
+    """The mean and the clamped log-variance halves of a (B, 2 * dim_z) net output."""
+    mu = C.narrow(out, 0, dim_z)
+    return mu, C.narrow_clip(out, dim_z, dim_z, -C.LOG_VAR_CLAMP, C.LOG_VAR_CLAMP)
+
+
 def z_params(nets: EncoderNets, x_tilde: C.Tensor, s: C.Tensor) -> tuple[C.Tensor, C.Tensor]:
     """Gaussian posterior moments conditioned on s; log-variance clamped."""
-    out = C.forward_stack(nets.z_layers, C.concat([x_tilde, s]))
-    mu = C.narrow(out, 0, nets.dim_z)
-    log_var = C.clip(C.narrow(out, nets.dim_z, nets.dim_z), -C.LOG_VAR_CLAMP, C.LOG_VAR_CLAMP)
-    return mu, log_var
+    return _moments(C.forward_stack(nets.z_layers, C.concat([x_tilde, s])), nets.dim_z)
 
 
 @dataclass
@@ -175,9 +178,7 @@ def encode_factorized(
     weighted_mu_acc = C.constant(np.zeros((B, K)))
     for d, (off, width) in enumerate(table.schema.slot_ranges()):
         obs = C.constant(mask.observed[rows, d].astype(np.float64)[:, None])
-        out = C.forward_stack(nets.per_column[d], C.narrow(x, off, width))
-        mu_d = C.narrow(out, 0, K)
-        log_var_d = C.clip(C.narrow(out, K, K), -C.LOG_VAR_CLAMP, C.LOG_VAR_CLAMP)
+        mu_d, log_var_d = _moments(C.forward_stack(nets.per_column[d], C.narrow(x, off, width)), K)
         prec_d = C.exp(-log_var_d)
         precision_acc = precision_acc + prec_d * obs
         weighted_mu_acc = weighted_mu_acc + mu_d * prec_d * obs

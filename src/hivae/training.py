@@ -117,17 +117,12 @@ def named_parameters(state: ModelState) -> dict[str, C.Tensor]:
 
 def gaussian_kl(mu_q: C.Tensor, log_var_q: C.Tensor, mu_p: C.Tensor) -> C.Tensor:
     """KL( N(mu_q, diag e^lv) || N(mu_p, I) ) per row, closed form."""
-    diff = mu_p - mu_q
-    terms = C.exp(log_var_q) + diff * diff - 1.0 - log_var_q
-    return 0.5 * C.tsum(terms, axis=1)
+    return C.gaussian_kl(mu_q, log_var_q, mu_p)
 
 
 def categorical_kl(s_logits: C.Tensor) -> C.Tensor:
     """KL( softmax(logits) || uniform ) per row: log L minus entropy."""
-    L = s_logits.values.shape[1]
-    p = C.softmax(s_logits, axis=1)
-    lp = C.log_softmax(s_logits, axis=1)
-    return C.tsum(p * (lp + math.log(L)), axis=1)
+    return C.uniform_kl(s_logits)
 
 
 def _batch_stats(state: ModelState, table, mask, rows) -> NormalizationStats:

@@ -202,7 +202,19 @@ OPS = {
     "reshape": lambda a, b: C.reshape(a, (9,)) * C.reshape(b, (9,)),
     "cumsum": lambda a, b: C.cumsum(a),
     "softmax": lambda a, b: C.softmax(a),
-    "log_softmax": lambda a, b: C.log_softmax(a),
+    "linear": lambda a, b: C.linear(a, b, C.tsum(b, axis=0)),
+    "narrow_clip": lambda a, b: C.narrow_clip(a * b, 0, 2, -0.3, 0.3),
+    "group_dense_squeezed": lambda a, b: C.group_dense(
+        C.reshape(a, (3, 3, 1)), C.narrow(b, 0, 2), C.reshape(b, (3, 3, 1)),
+        C.tsum(a, axis=1, keepdims=True), squeeze=True,
+    ),
+    "gumbel_softmax": lambda a, b: C.sample_gumbel_softmax(a * b, 0.7, np.random.default_rng(1)),
+    "gaussian_reparam": lambda a, b: C.sample_gaussian_reparam(a, b, np.random.default_rng(2)),
+    "gaussian_kl": lambda a, b: C.gaussian_kl(a, b, a * b),
+    "uniform_kl": lambda a, b: C.uniform_kl(a - b),
+    "cumulative_logit_log_prob": lambda a, b: C.cumulative_logit_log_prob(
+        C.cumsum(C.exp(b)), C.tsum(a, axis=1), np.array([0, 2, 3])
+    ),
     "sum_axis": lambda a, b: C.tsum(a, axis=1, keepdims=True) * b,
     "sum_axis_dropped": lambda a, b: C.tsum(a, axis=0) * C.tsum(b, axis=1),
     "broadcast_bias": lambda a, b: a + C.narrow(b, 0, 1, axis=0),

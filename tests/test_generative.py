@@ -131,6 +131,25 @@ class TestUnderflow:
         assert bias.grad == pytest.approx([-1.0, -math.exp(-100.0)], rel=1e-12, abs=0.0)
         assert ll.values[0, 0] == pytest.approx(-100.0)
 
+    @pytest.mark.parametrize("location", [100.0, -100.0])
+    def test_ordinal_gradient_survives_an_underflowed_probability(self, location):
+        # thresholds (1, 2, 3): class 1 has probability sigmoid(2 - loc) - sigmoid(1 - loc),
+        # about e^-98 (1 - e^-1) at loc = 100 and e^-101 (1 - e^-1) at loc = -100
+        schema = Schema((ColumnSpec("o", "ordinal", 4),))
+        nets = build(schema)
+        zero_nets(nets)
+        nets.heads[0].scale_layers[0].bias.values[...] = softplus_inv(1.0)
+        bias = nets.named_parameters()["gen.head0.loc.0.b"]
+        bias.values[...] = location
+        [params] = G.decode(nets, latent(nets, [1.0, 0.0], [0.0, 0.0]), unit_stats(schema))
+        assert params.probs.values[0, 1] < 1e-30
+        ll = G.log_likelihood(params, [1.0])
+        C.backward(C.tsum(ll))
+        expected = (-98.0 if location > 0 else -101.0) + math.log(1.0 - math.exp(-1.0))
+        assert ll.values[0, 0] == pytest.approx(expected, rel=1e-12)
+        # d/dloc log(sigmoid(b) - sigmoid(a)) = sigmoid(a) - sigmoid(-b), about -sign(loc)
+        assert bias.grad == pytest.approx([-math.copysign(1.0, location)], rel=1e-12)
+
 
 class TestLogLikelihood:
     def test_standard_normal_at_zero(self):
@@ -152,7 +171,7 @@ class TestLogLikelihood:
         probs = np.concatenate([cdf, [[1.0]]], axis=1) - np.concatenate([[[0.0]], cdf], axis=1)
         assert np.allclose(probs[0], expected)
         assert probs.sum() == pytest.approx(1.0)
-        params = OrdinalParams(C.constant(probs), C.constant(thresholds), C.constant(location))
+        params = OrdinalParams(C.constant(thresholds), C.constant(location))
         for r in range(3):
             got = G.log_likelihood(params, [float(r)]).values[0, 0]
             assert got == pytest.approx(math.log(expected[r]))
@@ -218,11 +237,11 @@ class TestMode:
         assert G.mode(PoissonParams(C.constant([[3.0]])))[0] == 3.0
 
     def test_categorical_argmax(self):
-        params = CategoricalParams(C.constant([[0.2, 0.5, 0.3]]))
+        params = CategoricalParams(logits=C.constant(np.log([[0.2, 0.5, 0.3]])))
         assert G.mode(params)[0] == 1.0
 
     def test_categorical_tie_lowest(self):
-        params = CategoricalParams(C.constant([[0.4, 0.4, 0.2]]))
+        params = CategoricalParams(logits=C.constant(np.log([[0.4, 0.4, 0.2]])))
         assert G.mode(params)[0] == 0.0
 
 
@@ -233,7 +252,7 @@ class TestSample:
         assert draw[0] == pytest.approx(5.0, abs=1e-2)
 
     def test_deterministic_categorical(self):
-        params = CategoricalParams(C.constant(np.tile([1.0, 0.0, 0.0], (100, 1))))
+        params = CategoricalParams(logits=C.constant(np.tile([0.0, -800.0, -800.0], (100, 1))))
         draws = params.sample(np.random.default_rng(1))
         assert np.all(draws == 0.0)
 
@@ -243,10 +262,9 @@ class TestSample:
         assert abs(draws.mean() - 4.0) < 0.05
 
     def test_ordinal_draw_histogram(self):
-        probs = np.array([0.5, 0.3, 0.2])
+        probs = np.array([0.5, 0.3, 0.2])  # cdf sigmoid(0) = 0.5, sigmoid(log 4) = 0.8
         params = OrdinalParams(
-            C.constant(np.tile(probs, (50_000, 1))),
-            C.constant(np.tile([0.0, 1.0], (50_000, 1))),
+            C.constant(np.tile([0.0, math.log(4.0)], (50_000, 1))),
             C.constant(np.zeros((50_000, 1))),
         )
         draws = params.sample(np.random.default_rng(3))

@@ -19,7 +19,7 @@ from hivae import generative as G
 from hivae import recognition as R
 from hivae import training as T
 from hivae.imputation import impute_map, impute_sample
-from hivae.kinds import GAP_FLOOR, PROB_FLOOR, RATE_FLOOR, VAR_FLOOR
+from hivae.kinds import GAP_FLOOR, RATE_FLOOR, VAR_FLOOR
 from hivae.tabular import (
     SCALE_FLOOR,
     ColumnSpec,
@@ -40,6 +40,7 @@ ELBO_RTOL = 1e-12
 GRAD_RTOL = 1e-11
 FILL_RTOL = 1e-12
 STATS_RTOL = 1e-13
+PROB_FLOOR = 1e-30  # the per-column decoder's floor under log(p)
 
 
 def interleaved_schema() -> Schema:
