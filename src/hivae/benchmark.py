@@ -143,7 +143,7 @@ def score_imputation(
     if truth.cells.shape != imputed.cells.shape:
         raise DataError(f"imputed shape {imputed.cells.shape} != truth shape {truth.cells.shape}")
     if not np.array_equal(truth.cells[mask.observed], imputed.cells[mask.observed]):
-        raise AssertionError("observed cells were modified by the imputation")
+        raise DataError("observed cells were modified by the imputation")
 
     scores = []
     notes = []
@@ -261,6 +261,8 @@ def synthetic_table(n_rows: int = 1000, seed: int = 0) -> HeterogeneousTable:
         cat_a, cat_b     argmax of 3 linear scores
         ord_a            linear score binned at its quartiles (4 classes)
     """
+    if n_rows < 1:
+        raise ValueError(f"n_rows must be >= 1, got {n_rows}")
     rng = np.random.default_rng(seed)
     centers = 2.0 * rng.standard_normal((2, 4))
     comp = rng.integers(0, 2, size=n_rows)

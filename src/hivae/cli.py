@@ -258,7 +258,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (TabularError, ModelFormatError, B.MetricUndefinedError, AssertionError) as exc:
+    except (TabularError, ModelFormatError, B.MetricUndefinedError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except TrainingError as exc:

@@ -248,10 +248,10 @@ def narrow(a, start, width, axis=1) -> Tensor:
 
 
 def narrow_clip(a, start, width, lo, hi) -> Tensor:
-    """clip(narrow(a, start, width), lo, hi) along axis 1 in one op; the
-    gradient passes where lo <= input <= hi, bounds included."""
+    """clip(narrow(a, start, width), lo, hi) along the last axis in one op;
+    the gradient passes where lo <= input <= hi, bounds included."""
     a = _lift(a)
-    index = (slice(None), slice(start, start + width))
+    index = (..., slice(start, start + width))
     part = a.values[index]
 
     def share(grad):
@@ -559,6 +559,20 @@ def forward_group_stack(layers, x, s, squeeze=False) -> Tensor:
             x = relu(x)
         s = None
     return x
+
+
+def stack_columns(stacks) -> list[DenseLayer]:
+    """Per-column stacks of one shape as one stack of (G, n_in, n_out) weights
+    and (G, n_out) biases, column j at index j."""
+    return [DenseLayer(parameter(np.stack([c.weights.values for c in layers])),
+                       parameter(np.stack([c.bias.values for c in layers])), layers[0].activation)
+            for layers in zip(*stacks)]
+
+
+def column_views(layers, j) -> list[DenseLayer]:
+    """Column j's own stack: live views of its slice of stacked layers."""
+    return [DenseLayer(view(layer.weights, j), view(layer.bias, j), layer.activation)
+            for layer in layers]
 
 
 def named_stacks(stacks: dict) -> dict[str, Tensor]:

@@ -50,10 +50,10 @@ class GenerativeNets:
         columns = {}
         for head in self.heads:
             for j, d in enumerate(head.group.columns.tolist()):
-                stacks = {f"gen.head{d}.loc": head.loc_layers}
+                stacks = {f"gen.head{d}.loc": C.column_views(head.loc_layers, j)}
                 if head.scale_layers:
-                    stacks[f"gen.head{d}.scale"] = head.scale_layers
-                columns[d] = {name: C.view(t, j) for name, t in C.named_stacks(stacks).items()}
+                    stacks[f"gen.head{d}.scale"] = C.column_views(head.scale_layers, j)
+                columns[d] = C.named_stacks(stacks)
         self._named = {
             "gen.prior_mu": self.prior_mu_table,
             **C.named_stacks({"gen.g": self.g_layers}),
@@ -87,20 +87,10 @@ def build_generative(
         loc = C.init_stack(dim_y + dim_s, loc_w, layers, rng)
         per_column.append((loc, C.init_stack(dim_s, scale_w, layers, rng) if scale_w else None))
 
-    def stacked(stacks):
-        return [
-            C.DenseLayer(
-                C.parameter(np.stack([layer.weights.values for layer in column_layers])),
-                C.parameter(np.stack([layer.bias.values for layer in column_layers])),
-                column_layers[0].activation,
-            )
-            for column_layers in zip(*stacks)
-        ]
-
     heads = []
     for group in schema.groups:
         loc, scale = zip(*(per_column[d] for d in group.columns))
-        heads.append(GroupHead(group, stacked(loc), stacked(scale) if scale[0] else None))
+        heads.append(GroupHead(group, C.stack_columns(loc), scale[0] and C.stack_columns(scale)))
     return GenerativeNets(
         dim_y=dim_y,
         prior_mu_table=C.parameter(rng.uniform(-0.05, 0.05, size=(dim_s, dim_z))),

@@ -7,7 +7,10 @@ they contribute nothing to any pre-activation sum or to any weight gradient.
 
 An alternative factorized encoder builds q(z | observed) as a precision-
 weighted product of per-attribute Gaussians with the prior; it exists for
-comparison runs and requires a single mixture component.
+comparison runs and requires a single mixture component.  Like the decoder's
+heads, its per-column nets are stacked per (kind, cardinality) group and run
+as one op per group; each column's enc.col{d} tensors are live views of that
+storage, and the model file stores them per column as before.
 """
 
 from __future__ import annotations
@@ -38,7 +41,8 @@ class EncoderNets:
     dim_z: int
     s_layers: list | None = None  # x_tilde -> L logits
     z_layers: list | None = None  # concat(x_tilde, s) -> (K mu, K log_var)
-    per_column: list | None = None  # factorized: column slots -> (K mu, K log_var)
+    per_column: list | None = None  # factorized: column slots -> (K mu, K log_var), views
+    group_layers: list | None = None  # factorized: per schema group, the views' stacked storage
 
     def named_parameters(self) -> dict[str, C.Tensor]:
         """enc.s / enc.z stacks, or one enc.col{d} stack per column (factorized)."""
@@ -54,15 +58,13 @@ def build_encoder(
     schema: Schema, dim_s: int, dim_z: int, layers: int, mode: str, rng
 ) -> EncoderNets:
     """Nets for a mode and dim_s that TrainConfig has already checked."""
-    if mode == FACTORIZED:
-        return EncoderNets(
-            mode=mode,
-            dim_z=dim_z,
-            per_column=[
-                C.init_stack(col.encoded_width, 2 * dim_z, layers, rng)
-                for col in schema.columns
-            ],
-        )
+    if mode == FACTORIZED:  # drawn column by column, then stacked per group
+        stacks = [C.init_stack(c.encoded_width, 2 * dim_z, layers, rng) for c in schema.columns]
+        grouped = [C.stack_columns([stacks[d] for d in g.columns]) for g in schema.groups]
+        views = {d: C.column_views(stacked, j) for g, stacked in zip(schema.groups, grouped)
+                 for j, d in enumerate(g.columns.tolist())}
+        per_column = [views[d] for d in range(len(schema))]
+        return EncoderNets(mode, dim_z, per_column=per_column, group_layers=grouped)
     width = schema.encoded_width
     return EncoderNets(
         mode=mode,
@@ -73,8 +75,8 @@ def build_encoder(
 
 
 def _moments(out: C.Tensor, dim_z: int) -> tuple[C.Tensor, C.Tensor]:
-    """The mean and the clamped log-variance halves of a (B, 2 * dim_z) net output."""
-    mu = C.narrow(out, 0, dim_z)
+    """The mean and the clamped log-variance halves of a (..., 2 * dim_z) net output."""
+    mu = C.narrow(out, 0, dim_z, axis=-1)
     return mu, C.narrow_clip(out, dim_z, dim_z, -C.LOG_VAR_CLAMP, C.LOG_VAR_CLAMP)
 
 
@@ -170,24 +172,15 @@ def encode_factorized(
     precision = I + sum_observed precision_d, mean = cov * sum_observed
     (mu_d * precision_d); an empty observation set returns the N(0, I) prior.
     """
-    rows = np.asarray(rows, dtype=np.intp)
-    x = C.constant(encode_inputs(table, mask, stats, rows))
-    B, K = rows.size, nets.dim_z
-
-    precision_acc = C.constant(np.ones((B, K)))
-    weighted_mu_acc = C.constant(np.zeros((B, K)))
-    for d, (off, width) in enumerate(table.schema.slot_ranges()):
-        obs = C.constant(mask.observed[rows, d].astype(np.float64)[:, None])
-        mu_d, log_var_d = _moments(C.forward_stack(nets.per_column[d], C.narrow(x, off, width)), K)
-        prec_d = C.exp(-log_var_d)
-        precision_acc = precision_acc + prec_d * obs
-        weighted_mu_acc = weighted_mu_acc + mu_d * prec_d * obs
-
-    z_mu = weighted_mu_acc / precision_acc
-    z_log_var = -C.log(precision_acc)
-    logits = C.constant(np.zeros((B, 1)))
-
-    def conditioner(_s_new: C.Tensor) -> tuple[C.Tensor, C.Tensor]:
-        return z_mu, z_log_var
-
-    return RecognitionParams(logits, conditioner)
+    x = encode_inputs(table, mask, stats, rows)
+    B, groups = x.shape[0], table.schema.groups
+    blocks = [x[:, g.slots].reshape(B, g.columns.size, -1) for g in groups]  # (B, G, width)
+    outs = [C.forward_group_stack(stacked, C.constant(block), None)
+            for stacked, block in zip(nets.group_layers, blocks)]
+    mu, log_var = _moments(C.concat(outs, axis=1), nets.dim_z)  # (B, D, K), group order
+    order = np.concatenate([g.columns for g in groups])
+    weight = C.exp(-log_var) * mask.observed[rows][:, order, None].astype(np.float64)
+    precision = C.tsum(weight, axis=1) + 1.0  # the prior expert's unit precision
+    z_mu = C.tsum(mu * weight, axis=1) / precision
+    z_log_var = -C.log(precision)
+    return RecognitionParams(C.constant(np.zeros((B, 1))), lambda _s_new: (z_mu, z_log_var))

@@ -183,7 +183,7 @@ class TestScoring:
         table, mask = small_synthetic
         tampered = table.cells.copy()
         tampered[mask.observed] += 1.0
-        with pytest.raises(AssertionError):
+        with pytest.raises(DataError, match="^observed cells were modified by the imputation$"):
             B.score_imputation(
                 table, HeterogeneousTable(table.schema, tampered), mask, method="x", fraction=0.1
             )
@@ -235,6 +235,14 @@ class TestSyntheticData:
         t1 = B.synthetic_table(50, seed=4)
         t2 = B.synthetic_table(50, seed=4)
         assert np.array_equal(t1.cells, t2.cells)
+
+    @pytest.mark.parametrize("n_rows", [0, -3])
+    def test_rejects_an_empty_table(self, n_rows):
+        with pytest.raises(ValueError, match=f"^n_rows must be >= 1, got {n_rows}$"):
+            B.synthetic_table(n_rows)
+
+    def test_a_single_row_is_a_table(self):
+        assert B.synthetic_table(1, seed=2).cells.shape == (1, 7)
 
     def test_schema_matches_cells(self):
         table = B.synthetic_table(100, seed=0)

@@ -7,7 +7,7 @@ import pytest
 
 from hivae import benchmark as B
 from hivae.cli import main
-from hivae.tabular import MissingMask, write_mask, write_table
+from hivae.tabular import HeterogeneousTable, MissingMask, write_mask, write_table
 
 TYPES = "real_a,real\nreal_b,real\npos_a,pos\ncount_a,count\ncat_a,cat,3\ncat_b,cat,3\nord_a,ordinal,4\n"
 
@@ -234,7 +234,46 @@ class TestEvaluate:
         assert not out.exists()
 
 
+    def test_modified_observed_cell_exits_2(self, dataset, tmp_path, capsys):
+        table, mask, _, types, maskf = dataset
+        truth, imputed = tmp_path / "truth.csv", tmp_path / "imputed.csv"
+        write_table(table, truth)
+        cells = table.cells.copy()
+        cells[np.argmax(mask.observed[:, 0]), 0] += 1.0  # one observed real cell
+        write_table(HeterogeneousTable(table.schema, cells), imputed)
+        out = tmp_path / "r.json"
+        code = main(["evaluate", "--truth", str(truth), "--imputed", str(imputed),
+                     "--types", types, "--mask", maskf, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "data error: observed cells were modified by the imputation\n"
+        )
+        assert not out.exists()
+
+    def test_internal_assertion_is_not_a_data_error(self, dataset, tmp_path, monkeypatch):
+        table, _, _, types, maskf = dataset
+        truth = tmp_path / "truth.csv"
+        write_table(table, truth)
+
+        def broken(*args, **kwargs):
+            raise AssertionError("internal invariant")
+
+        monkeypatch.setattr(B, "score_imputation", broken)
+        with pytest.raises(AssertionError, match="internal invariant"):
+            main(["evaluate", "--truth", str(truth), "--imputed", str(truth),
+                  "--types", types, "--mask", maskf, "--out", str(tmp_path / "r.json")])
+
+
 class TestBenchmark:
+    @pytest.mark.parametrize("rows", ["0", "-1"])
+    def test_no_rows_is_an_error(self, rows, tmp_path, capsys):
+        out = tmp_path / "b.json"
+        code = main(["benchmark", "--synthetic", "--rows", rows, "--methods", "mean_mode",
+                     "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: n_rows must be >= 1, got {rows}\n"
+        assert not out.exists()
+
     def test_incomplete_data_file_exits_2(self, tmp_path):
         # an empty field would otherwise be scored as the 0.0 sentinel
         types = tmp_path / "t.csv"

@@ -131,6 +131,18 @@ def test_narrow_clip_is_clip_of_narrow():
     assert np.any(part < -1.5) and np.any(part > 2.0)  # both bounds clamp some entries
 
 
+def test_narrow_clip_reads_the_last_axis_of_a_3d_block():
+    rng = np.random.default_rng(1)
+    [a] = params(rng, (4, 3, 6), scale=3.0)
+    assert_matches(
+        lambda a: C.narrow_clip(a, 2, 3, -1.5, 2.0),
+        lambda a: C.clip(C.narrow(a, 2, 3, axis=2), -1.5, 2.0),
+        [a],
+    )
+    part = a.values[..., 2:5]
+    assert np.any(part < -1.5) and np.any(part > 2.0)
+
+
 def test_squeezed_group_dense_is_the_reshaped_block():
     rng = np.random.default_rng(2)
     inputs = params(rng, (5, 4, 2), (5, 3), (4, 5, 1), (4, 1))
@@ -240,6 +252,7 @@ def test_a_latent_draw_takes_s_then_z(small_synthetic):
 # ---------------------------------------------------------------------------
 
 STEP_NODES = 58  # compute._node calls in one elbo_batch + backward, either table
+FACTORIZED_STEP_NODES = 71  # the same with the factorized encoder (dim_s = 1)
 
 
 def load_step_time():
@@ -251,18 +264,30 @@ def load_step_time():
     return module
 
 
-@pytest.mark.parametrize("tiles", [1, 10])
-def test_a_training_step_makes_a_fixed_number_of_nodes(tiles):
-    """Groups, not columns, set the graph: D = 7 and D = 70 make the same
-    count, with the benchmark's model sizes."""
+def step_nodes(tiles, **config):
+    """Nodes of one step on the script's table, with the benchmark's model sizes."""
     step_time = load_step_time()
     table = step_time.tiled_table(tiles, 60)
     mask = B.generate_mcar_mask(table, 0.2, seed=1)
-    config = T.TrainConfig(dim_z=10, dim_s=10, dim_y=5, layers=1, epochs=1, batch_size=60)
+    config = T.TrainConfig(dim_z=10, dim_y=5, layers=1, epochs=1, batch_size=60, **config)
     state = T.build_model(table.schema, config, np.random.default_rng(0))
 
     def step():
         elbo = T.elbo_batch(state, table, mask, np.arange(table.n_rows), 0.5, np.random.default_rng(2))
         C.backward(elbo * (-1.0 / table.n_rows))
 
-    assert step_time.count_nodes(step) == STEP_NODES <= 60
+    return step_time.count_nodes(step)
+
+
+@pytest.mark.parametrize("tiles", [1, 10])
+def test_a_training_step_makes_a_fixed_number_of_nodes(tiles):
+    """Groups, not columns, set the graph: D = 7 and D = 70 make the same
+    count, with the benchmark's model sizes."""
+    assert step_nodes(tiles, dim_s=10) == STEP_NODES <= 60
+
+
+@pytest.mark.parametrize("tiles", [1, 10])
+def test_a_factorized_training_step_makes_a_fixed_number_of_nodes(tiles):
+    """The factorized encoder runs one op per group too, so its step does not
+    grow with D either."""
+    assert step_nodes(tiles, dim_s=1, encoder_mode=R.FACTORIZED) == FACTORIZED_STEP_NODES

@@ -70,14 +70,24 @@ def rejects_unobserved_column(table, mask, config) -> bool:
     return bool(unobserved)
 
 
-def small_model(schema):
-    config = T.TrainConfig(dim_z=2, dim_s=3, dim_y=2, epochs=1, batch_size=20, seed=0)
+# both encoders, each with a dim_s it accepts
+ENCODERS = pytest.mark.parametrize("mode", [R.INPUT_DROPOUT, R.FACTORIZED])
+
+
+def small_config(mode=R.INPUT_DROPOUT, **kw) -> T.TrainConfig:
+    dim_s = 1 if mode == R.FACTORIZED else 3
+    return T.TrainConfig(dim_z=2, dim_s=dim_s, dim_y=2, encoder_mode=mode, **kw)
+
+
+def small_model(schema, mode=R.INPUT_DROPOUT):
+    config = small_config(mode, epochs=1, batch_size=20, seed=0)
     return T.build_model(schema, config, np.random.default_rng(0))
 
 
+@ENCODERS
 @given(datasets())
 @settings(max_examples=25, deadline=None)
-def test_masked_cells_change_neither_encoding_nor_elbo(data):
+def test_masked_cells_change_neither_encoding_nor_elbo(mode, data):
     table, perturbed, mask, seed = data
     rows = range(table.n_rows)
     stats = fit_normalization(table, mask, rows)
@@ -87,7 +97,7 @@ def test_masked_cells_change_neither_encoding_nor_elbo(data):
         encode_inputs(table, mask, stats, rows),
         encode_inputs(perturbed, mask, stats, rows),
     )
-    state = small_model(table.schema)
+    state = small_model(table.schema, mode)
     elbos = [
         T.elbo_batch(state, t, mask, rows, 0.7, np.random.default_rng(seed)).values
         for t in (table, perturbed)
@@ -125,14 +135,15 @@ SUMMARY_KEYS = {
 }
 
 
+@ENCODERS
 @pytest.mark.parametrize("method", ["map", "sample"])
 @given(datasets())
 @settings(max_examples=15, deadline=None)
 def test_trained_model_imputes_in_support_and_survives_a_round_trip(
-    tmp_path_factory, method, data
+    tmp_path_factory, mode, method, data
 ):
     table, _, mask, seed = data
-    config = T.TrainConfig(dim_z=2, dim_s=3, dim_y=2, epochs=1, batch_size=20, seed=seed)
+    config = small_config(mode, epochs=1, batch_size=20, seed=seed)
     if rejects_unobserved_column(table, mask, config):
         return
     model = T.train(table, mask, config)
