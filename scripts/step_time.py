@@ -73,14 +73,14 @@ def main() -> None:
     config = T.TrainConfig(dim_z=10, dim_s=10, dim_y=5, layers=1, batch_size=args.batch)
     rng = np.random.default_rng(0)
     state = T.build_model(table.schema, config, rng)
-    tensors = state.encoder.parameters() + state.generative.tensors()
+    flats = [state.encoder.flat, state.generative.flat]
     adam = C.AdamState()
     rows = np.arange(table.n_rows)
 
     def step():
         elbo = T.elbo_batch(state, table, mask, rows, config.tau_start, rng)
         C.backward(elbo * (-1.0 / rows.size))
-        C.adam_step(adam, tensors)
+        C.adam_step(adam, flats)
 
     nodes = count_nodes(step)
     for _ in range(args.warmup):

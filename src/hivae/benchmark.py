@@ -195,7 +195,9 @@ def run_benchmark(
     hivae_map and hivae_sample share one trained model per grid cell; training
     and masking seeds derive deterministically from the master seed.
     """
-    methods = list(methods)
+    methods, fractions = list(methods), list(fractions)
+    if repeats < 1 or not fractions or not methods:
+        raise ValueError(f"need repeats >= 1 (got {repeats}), a fraction and a method")
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
         raise ValueError(f"unknown methods {unknown}; choose from {METHODS}")

@@ -488,6 +488,17 @@ def view(t: Tensor, index) -> Tensor:
     return v
 
 
+def pack(tensors: list) -> Tensor:
+    """One parameter with the given parameters' values end to end and a zero grad.
+    Each one's values and grad become live views of its slice: pack before viewing."""
+    flat = parameter(np.concatenate([t.values.ravel() for t in tensors]))
+    offsets = np.cumsum([0] + [t.values.size for t in tensors])
+    for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
+        t.values = flat.values[start:stop].reshape(t.values.shape)
+        t.grad = flat.grad[start:stop].reshape(t.values.shape)
+    return flat
+
+
 def zero_grads(params) -> None:
     for p in params:
         p.grad[...] = 0.0

@@ -9,7 +9,7 @@ Columns of one (kind, cardinality) group have heads of one shape, so each
 group's heads are stored stacked, (G, n_in, n_out) per layer, and evaluated
 together; the group's likelihoods are one block of its kind's class.  The
 per-column parameter names stay: each is a live view of its slice of the
-stacked storage.
+stacked storage, which is itself a view of the net's one flat parameter.
 """
 
 from __future__ import annotations
@@ -42,11 +42,17 @@ class GenerativeNets:
     prior_mu_table: C.Tensor  # (L, K) component means of the mixture prior
     g_layers: list  # z -> D * dim_y shared representation
     heads: list[GroupHead]
+    flat: C.Tensor = field(init=False, repr=False)  # every parameter above is a view of it
     _named: dict = field(init=False, repr=False)
 
     def __post_init__(self):
-        """Name each column's slice of its group's stacked heads once, so the
-        per-column tensors are the same objects on every call."""
+        """Pack the storage into flat, then name each column's slice of its
+        group's stacked heads once, so every call gives the same views."""
+        layers = self.g_layers + [
+            layer for head in self.heads for layer in head.loc_layers + (head.scale_layers or [])
+        ]
+        tensors = [t for layer in layers for t in (layer.weights, layer.bias)]
+        self.flat = C.pack([self.prior_mu_table] + tensors)
         columns = {}
         for head in self.heads:
             for j, d in enumerate(head.group.columns.tolist()):
@@ -66,14 +72,6 @@ class GenerativeNets:
 
     def parameters(self) -> list[C.Tensor]:
         return list(self._named.values())
-
-    def tensors(self) -> list[C.Tensor]:
-        """The storage the optimizer updates: the named tensors, with each
-        group's stacked heads in place of their per-column views."""
-        layers = self.g_layers + [
-            layer for head in self.heads for layer in head.loc_layers + (head.scale_layers or [])
-        ]
-        return [self.prior_mu_table, *(t for layer in layers for t in (layer.weights, layer.bias))]
 
 
 def build_generative(

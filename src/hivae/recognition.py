@@ -10,7 +10,8 @@ weighted product of per-attribute Gaussians with the prior; it exists for
 comparison runs and requires a single mixture component.  Like the decoder's
 heads, its per-column nets are stacked per (kind, cardinality) group and run
 as one op per group; each column's enc.col{d} tensors are live views of that
-storage, and the model file stores them per column as before.
+storage, and the model file stores them per column as before.  In either mode
+the storage is itself a view of the net's one flat parameter.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ class EncoderNets:
 
     mode: str
     dim_z: int
+    flat: C.Tensor  # every parameter below is a view of it
     s_layers: list | None = None  # x_tilde -> L logits
     z_layers: list | None = None  # concat(x_tilde, s) -> (K mu, K log_var)
     per_column: list | None = None  # factorized: column slots -> (K mu, K log_var), views
@@ -58,20 +60,19 @@ def build_encoder(
     schema: Schema, dim_s: int, dim_z: int, layers: int, mode: str, rng
 ) -> EncoderNets:
     """Nets for a mode and dim_s that TrainConfig has already checked."""
-    if mode == FACTORIZED:  # drawn column by column, then stacked per group
+    if mode == FACTORIZED:  # drawn column by column, stacked per group, packed, then viewed
         stacks = [C.init_stack(c.encoded_width, 2 * dim_z, layers, rng) for c in schema.columns]
         grouped = [C.stack_columns([stacks[d] for d in g.columns]) for g in schema.groups]
+        flat = C.pack([t for stacked in grouped for ly in stacked for t in (ly.weights, ly.bias)])
         views = {d: C.column_views(stacked, j) for g, stacked in zip(schema.groups, grouped)
                  for j, d in enumerate(g.columns.tolist())}
         per_column = [views[d] for d in range(len(schema))]
-        return EncoderNets(mode, dim_z, per_column=per_column, group_layers=grouped)
+        return EncoderNets(mode, dim_z, flat, per_column=per_column, group_layers=grouped)
     width = schema.encoded_width
-    return EncoderNets(
-        mode=mode,
-        dim_z=dim_z,
-        s_layers=C.init_stack(width, dim_s, layers, rng),
-        z_layers=C.init_stack(width + dim_s, 2 * dim_z, layers, rng),
-    )
+    s_layers = C.init_stack(width, dim_s, layers, rng)
+    z_layers = C.init_stack(width + dim_s, 2 * dim_z, layers, rng)
+    flat = C.pack([t for ly in s_layers + z_layers for t in (ly.weights, ly.bias)])
+    return EncoderNets(mode, dim_z, flat, s_layers, z_layers)
 
 
 def _moments(out: C.Tensor, dim_z: int) -> tuple[C.Tensor, C.Tensor]:

@@ -77,8 +77,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if not (0.0 < self.tau_end <= self.tau_start):
-            raise ValueError("need 0 < tau_end <= tau_start")
+        if not (0.0 < self.tau_end <= self.tau_start < math.inf):
+            raise ValueError("need 0 < tau_end <= tau_start < inf")
         if self.encoder_mode not in (R.INPUT_DROPOUT, R.FACTORIZED):
             raise ValueError(f"unknown encoder_mode {self.encoder_mode!r}")
         if self.encoder_mode == R.FACTORIZED and self.dim_s != 1:
@@ -111,7 +111,7 @@ def build_model(schema: Schema, config: TrainConfig, rng) -> ModelState:
 
 
 def named_parameters(state: ModelState) -> dict[str, C.Tensor]:
-    """Stable name -> tensor map used by the optimizer and the model file."""
+    """Stable name -> tensor map of the model file and of gradient error reports."""
     return {**state.encoder.named_parameters(), **state.generative.named_parameters()}
 
 
@@ -203,7 +203,7 @@ def train(
     state.stats = _batch_stats(state, table, mask, range(table.n_rows))
 
     named = named_parameters(state)
-    tensors = state.encoder.parameters() + state.generative.tensors()
+    flats = [state.encoder.flat, state.generative.flat]
     adam = C.AdamState()
     n = table.n_rows
     for epoch in range(config.epochs):
@@ -218,10 +218,10 @@ def train(
                 raise TrainingError(epoch, batch_idx)
             loss = elbo * (-1.0 / rows.size)
             C.backward(loss)
-            if not all(np.isfinite(t.grad).all() for t in tensors):
+            if not all(np.isfinite(flat.grad).all() for flat in flats):
                 name = next(name for name, p in named.items() if not np.isfinite(p.grad).all())
                 raise TrainingError(epoch, batch_idx, name)
-            C.adam_step(adam, tensors)
+            C.adam_step(adam, flats)
             epoch_elbo += value
         state.training_log.append((epoch, tau, epoch_elbo))
         if progress is not None:

@@ -204,6 +204,17 @@ class TestRunBenchmark:
         with pytest.raises(ValueError, match="unknown"):
             B.run_benchmark(table, T.TrainConfig(epochs=1), [0.1], 1, ["oracle"], seed=0)
 
+    @pytest.mark.parametrize(
+        "fractions,repeats,methods",
+        [([0.1], 0, ["mean_mode"]), ([0.1], -2, ["mean_mode"]), ([], 1, ["mean_mode"]),
+         ([0.1], 1, [])],
+        ids=["no_repeats", "negative_repeats", "no_fractions", "no_methods"],
+    )
+    def test_empty_grid_rejected(self, small_synthetic, fractions, repeats, methods):
+        table, _ = small_synthetic
+        with pytest.raises(ValueError, match=r"need repeats >= 1 \(got -?\d+\), a fraction"):
+            B.run_benchmark(table, T.TrainConfig(epochs=1), fractions, repeats, methods, seed=0)
+
     def test_zero_fraction_warning_report(self, small_synthetic):
         table, _ = small_synthetic
         [report] = B.run_benchmark(

@@ -45,6 +45,18 @@ class TestTrain:
         code = main(["train", "--data", data, "--out", str(tmp_path / "m.json")])
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "flags", [["--tau-start", "inf"], ["--tau-start", "inf", "--tau-end", "inf"]],
+        ids=["start", "both"],
+    )
+    def test_infinite_temperature_is_usage_error(self, dataset, tmp_path, capsys, flags):
+        _, _, data, types, _ = dataset
+        out = tmp_path / "m.json"
+        code = main(["train", "--data", data, "--types", types, "--out", str(out), *FAST, *flags])
+        assert code == 1
+        assert capsys.readouterr().err == "error: need 0 < tau_end <= tau_start < inf\n"
+        assert not out.exists()
+
     def test_bad_data_is_data_error(self, tmp_path):
         data = tmp_path / "bad.csv"
         data.write_text("1,2\n3\n")
@@ -272,6 +284,18 @@ class TestBenchmark:
                      "--out", str(out)])
         assert code == 1
         assert capsys.readouterr().err == f"error: n_rows must be >= 1, got {rows}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--repeats", "0"], ["--repeats", "-2"], ["--fractions", ","], ["--methods", ","]],
+        ids=["no_repeats", "negative_repeats", "no_fractions", "no_methods"],
+    )
+    def test_empty_grid_is_an_error(self, flags, tmp_path, capsys):
+        out = tmp_path / "b.json"
+        code = main(["benchmark", "--synthetic", "--rows", "20", *flags, "--out", str(out), *FAST])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: need repeats >= 1 (got ")
         assert not out.exists()
 
     def test_incomplete_data_file_exits_2(self, tmp_path):

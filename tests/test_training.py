@@ -225,6 +225,47 @@ class TestNamedParameters:
         assert list(map(id, state.parameters())) == list(map(id, named)) == list(map(id, nets))
 
 
+def flat_of(state, name):
+    """The flat parameter of the net that owns a named tensor."""
+    return (state.encoder if name.startswith("enc.") else state.generative).flat
+
+
+class TestFlatParameters:
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("mode", [R.INPUT_DROPOUT, R.FACTORIZED])
+    def test_named_tensors_partition_their_nets_flat(self, mode, layers, small_synthetic, tmp_path):
+        table, mask = small_synthetic
+        config = T.TrainConfig(dim_z=2, dim_s=1, dim_y=2, layers=layers, epochs=1, batch_size=20,
+                               encoder_mode=mode)
+        state = T.build_model(table.schema, config, np.random.default_rng(0))
+        named = T.named_parameters(state)
+        for name, t in named.items():
+            flat = flat_of(state, name)
+            assert np.shares_memory(t.values, flat.values), name
+            assert np.shares_memory(t.grad, flat.grad), name
+        # number each flat's elements: each is read back through exactly one
+        # named tensor, at the same place in its values and its grad
+        for net in (state.encoder, state.generative):
+            net.flat.values[...] = np.arange(net.flat.values.size)
+            net.flat.grad[...] = np.arange(net.flat.values.size)
+            own = [t for name, t in named.items() if flat_of(state, name) is net.flat]
+            read = np.concatenate([t.values.ravel() for t in own])
+            assert np.array_equal(np.sort(read), np.arange(net.flat.values.size))
+            assert all(np.array_equal(t.grad, t.values) for t in own)
+        positions = {name: t.values.ravel().astype(np.intp) for name, t in named.items()}
+
+        path = tmp_path / "model.json"
+        T.save_model(T.train(table, mask, config), path)
+        params = json.loads(path.read_text())["params"]
+        loaded = T.load_model(path)
+        for net in (loaded.encoder, loaded.generative):
+            expected = np.full(net.flat.values.size, np.nan)
+            for name, where in positions.items():
+                if flat_of(loaded, name) is net.flat:
+                    expected[where] = params[name]["values"]
+            assert np.array_equal(net.flat.values, expected)
+
+
 class TestKLOracles:
     def test_gaussian_kl_matches_monte_carlo(self):
         rng = np.random.default_rng(0)
@@ -313,8 +354,10 @@ class TestTrain:
             ({"layers": 3}, "layers must be 1 or 2"),
             ({"batch_size": 0}, "batch_size must be >= 1"),
             ({"tau_start": 0.5, "tau_end": 0.6}, "need 0 < tau_end <= tau_start"),
+            ({"tau_start": math.inf}, "need 0 < tau_end <= tau_start < inf"),
+            ({"tau_start": math.inf, "tau_end": math.inf}, "need 0 < tau_end <= tau_start < inf"),
         ],
-        ids=["dim_z", "dim_y", "layers", "batch_size", "tau_order"],
+        ids=["dim_z", "dim_y", "layers", "batch_size", "tau_order", "tau_start_inf", "tau_both_inf"],
     )
     def test_invalid_config_rejected(self, fields, message):
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -387,6 +430,8 @@ class TestTrain:
 
 class TestNonFiniteGradient:
     NAME = "gen.g.0.w"
+    CONFIG = {"dim_s": 2}  # TrainConfig fields of the library run
+    FLAGS = []  # and the CLI run's extra flags
 
     @pytest.fixture
     def poisoned(self, monkeypatch):
@@ -405,7 +450,7 @@ class TestNonFiniteGradient:
         monkeypatch.setattr(C, "backward", poisoned_backward)
 
     def test_training_stops_and_names_the_parameter(self, small_synthetic, poisoned):
-        config = T.TrainConfig(dim_z=2, dim_s=2, dim_y=2, epochs=2, batch_size=20)
+        config = T.TrainConfig(dim_z=2, dim_y=2, epochs=2, batch_size=20, **self.CONFIG)
         match = f"gradient of parameter {re.escape(self.NAME)} at "
         with pytest.raises(T.TrainingError, match=match) as exc:
             T.train(*small_synthetic, config)
@@ -418,7 +463,8 @@ class TestNonFiniteGradient:
             "".join(f"{c.name},{c.kind},{c.cardinality}\n" for c in table.schema.columns)
         )
         code = main(["train", "--data", str(tmp_path / "d.csv"), "--types", str(tmp_path / "t.csv"),
-                     "--out", str(tmp_path / "m.json"), "--epochs", "2", "--batch", "20"])
+                     "--out", str(tmp_path / "m.json"), "--epochs", "2", "--batch", "20",
+                     *self.FLAGS])
         assert code == 3
         assert self.NAME in capsys.readouterr().err
 
@@ -428,6 +474,15 @@ class TestNonFiniteHeadGradient(TestNonFiniteGradient):
     storage: column 5 (cat_b) is the second column of the cat(3) group."""
 
     NAME = "gen.head5.loc.0.w"
+
+
+class TestNonFiniteFactorizedGradient(TestNonFiniteGradient):
+    """The same, for a factorized encoder's per-column view: the check over
+    the nets' flat gradients fails, and the name is found only then."""
+
+    NAME = "enc.col5.0.w"
+    CONFIG = {"dim_s": 1, "encoder_mode": R.FACTORIZED}
+    FLAGS = ["--dim-s", "1", "--encoder", "factorized"]
 
 
 class TestPersistence:
