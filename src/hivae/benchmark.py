@@ -95,7 +95,7 @@ def mean_mode_impute(table: HeterogeneousTable, mask: MissingMask) -> Imputation
             raise DataError(f"column {col.name!r} has no observed cells")
         fill, stat = col.kind_class.baseline(vals, col.cardinality)
         fills.append(fill)
-        params.append({"kind": col.kind, "statistic": stat})
+        params.append(f'{{"kind": "{col.kind}", "statistic": "{stat}"}}')
     return filled(
         table, mask, np.array(fills), "mean_mode", lambda d, rows: [params[d]] * rows.size
     )

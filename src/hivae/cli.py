@@ -8,7 +8,6 @@ or gradient).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import asdict
 
@@ -168,11 +167,8 @@ def cmd_impute(args) -> int:
     with open(sidecar, "w") as fh:
         # the bytes of json.dumps(result.records(), sort_keys=True), one column at a time
         fh.write("[")
-        separator = ""
-        for d, rows in enumerate(result.rows):
-            if rows.size:
-                fh.write(separator + json.dumps(result.column_records(d), sort_keys=True)[1:-1])
-                separator = ", "
+        for i, text in enumerate(filter(None, map(result.column_text, range(len(result.rows))))):
+            fh.write(", " + text if i else text)
         fh.write("]\n")
     n_filled = sum(rows.size for rows in result.rows)
     print(f"{n_filled} cells filled; sidecar {sidecar}", file=sys.stderr)

@@ -15,10 +15,15 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 LOG_VAR_CLAMP = 15.0  # |log variance| bound before exponentiation
 LOG_2PI = math.log(2.0 * math.pi)
+
+
+def logistic(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + e^-x); below x = -709.78 e^-x overflows to inf and the result is 0."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 class Tensor:
@@ -202,12 +207,12 @@ def log(a) -> Tensor:
 def softplus(a) -> Tensor:
     """log(1 + e^x), computed stably for large |x|."""
     a = _lift(a)
-    return _node(np.logaddexp(0.0, a.values), (a, lambda g: g * expit(a.values)))
+    return _node(np.logaddexp(0.0, a.values), (a, lambda g: g * logistic(a.values)))
 
 
 def sigmoid(a) -> Tensor:
     a = _lift(a)
-    s = expit(a.values)
+    s = logistic(a.values)
     return _node(s, (a, lambda g: g * s * (1.0 - s)))
 
 
@@ -396,7 +401,7 @@ def cumulative_logit_log_prob(thresholds, location, classes) -> Tensor:
     b = np.take_along_axis(edges, lower + 1, axis=-1)[..., 0]
     value = -np.logaddexp(0.0, -b) - np.logaddexp(0.0, a) + np.log(-np.expm1(a - b))
     inv_gap = 1.0 / np.expm1(b - a)
-    d_a, d_b = -expit(a) - inv_gap, expit(-b) + inv_gap  # d value / d edge
+    d_a, d_b = -logistic(a) - inv_gap, logistic(-b) + inv_gap  # d value / d edge
 
     def thresholds_share(grad):
         g = np.zeros(edges.shape)

@@ -156,7 +156,7 @@ def mode(params: LikelihoodParams) -> np.ndarray:
     return params.mode()
 
 
-def params_summary(params: LikelihoodParams, j: int, rows) -> list[dict]:
-    """JSON-friendly snapshot of block column j's distribution parameters,
-    one record per row of rows."""
+def params_summary(params: LikelihoodParams, j: int, rows) -> list[str]:
+    """Block column j's distribution parameters as JSON object texts, one per
+    row of rows."""
     return params.summary(j, rows)

@@ -9,6 +9,7 @@ then draws each cell from its decoded distribution.
 
 from __future__ import annotations
 
+import json
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -18,6 +19,7 @@ import numpy as np
 from . import compute as C
 from . import generative as G
 from . import recognition as R
+from .kinds import json_floats
 # encode_inputs is bound here so the benchmark tracer wraps this lookup site
 from .tabular import DataError, HeterogeneousTable, MissingMask, encode_inputs  # noqa: F401
 from .training import ModelState, TrainConfig, require_schema, train
@@ -27,26 +29,24 @@ from .training import ModelState, TrainConfig, require_schema, train
 class ImputationResult:
     """The completed table, per column d the filled rows (ascending), and the
     source of their decoded-distribution summaries: summaries(d, rows) gives
-    one params record per row, built when asked for."""
+    one params object's JSON text per row, built when asked for."""
 
     completed: HeterogeneousTable
     method: str  # "map_mode" | "sample" | "mean_mode"
     rows: tuple[np.ndarray, ...]
-    summaries: Callable[[int, np.ndarray], list[dict]]
+    summaries: Callable[[int, np.ndarray], list[str]]
 
-    def column_records(self, d: int) -> list[dict]:
-        """Column d's sidecar records, rows ascending."""
+    def column_text(self, d: int) -> str:
+        """Column d's sidecar records as JSON text without the enclosing brackets."""
         rows = self.rows[d]
-        return [
-            {"row": n, "col": d, "method": self.method, "value": value, "params": params}
-            for n, value, params in zip(
-                rows.tolist(), self.completed.cells[rows, d].tolist(), self.summaries(d, rows)
-            )
-        ]
+        record = f'{{"col": {d}, "method": "{self.method}", "params": %s, "row": %d, "value": %s}}'
+        values = json_floats(self.completed.cells[rows, d])
+        return ", ".join(record % r for r in zip(self.summaries(d, rows), rows.tolist(), values))
 
     def records(self) -> list[dict]:
         """The sidecar: one record per filled cell, column by column."""
-        return [rec for d in range(len(self.rows)) for rec in self.column_records(d)]
+        texts = filter(None, map(self.column_text, range(len(self.rows))))
+        return json.loads("[" + ", ".join(texts) + "]")
 
 
 def filled(table, mask, values, method, summaries) -> ImputationResult:

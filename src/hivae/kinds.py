@@ -10,9 +10,9 @@ Class attributes and classmethods are the column rules: nominal or not, encoder
 width and block (standardized slot, one-hot or thermometer), transform and its
 domain, support, CSV cell format, decoder head widths (location, scale), which
 heads are read as (B, G) blocks, the step from head outputs to parameters,
-missing-cell stand-in, mean/mode baseline and metric.  ``encode`` and
-``from_head`` take the columns' normalization shifts and scales, which the
-nominal kinds ignore.
+missing-cell stand-in, mean/mode baseline, metric and sidecar fields.
+``encode`` and ``from_head`` take the columns' normalization shifts and
+scales, which the nominal kinds ignore.
 
 An instance is a block: the decoded distributions of the G columns of one
 (kind, cardinality) group for every batch row, with scalar parameters of shape
@@ -28,17 +28,30 @@ itself works on blocks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import compute as C
 
 VAR_FLOOR = 1e-6
 RATE_FLOOR = 1e-6
 GAP_FLOOR = 1e-6
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def log_factorial(x: np.ndarray) -> np.ndarray:
+    """log x! of integer-valued floats >= 0, one math.lgamma per distinct value."""
+    values = np.unique(x)
+    return np.array([math.lgamma(v + 1.0) for v in values.tolist()])[np.searchsorted(values, x)]
+
+
+def json_floats(values: np.ndarray) -> list[str]:
+    """Each value's JSON text in C order, as json.dumps writes a float."""
+    texts = list(map(float.__repr__, values.ravel().tolist()))
+    return texts if np.isfinite(values).all() else [_JSON_NONFINITE.get(t, t) for t in texts]
 
 
 def _block(x) -> np.ndarray:
@@ -96,6 +109,19 @@ class _Kind:
         """Mean/mode baseline fill from the observed values, and its statistic."""
         return float(np.mean(values)), "mean"
 
+    def summary(self, j: int, rows) -> list[str]:
+        """Column j's parameters at each of rows as JSON object texts, keys sorted."""
+        columns, body = [], ""
+        for key, attr in self.summary_fields:
+            vector = attr in ("probs", "thresholds")  # (B, G, R); the others are (B, G)
+            values = getattr(self, attr).values
+            values = _grouped(values)[rows, j] if vector else values[rows, j, None]
+            texts, width = json_floats(values), values.shape[1]
+            columns += [texts[r::width] for r in range(width)]
+            body += f', "{key}": ' + ("[%s]" if vector else "%s") % ", ".join(["%s"] * width)
+        template = f'{{"kind": "{self.kind}"{body}}}'
+        return [template % texts for texts in zip(*columns)]
+
     def column(self, j: int):
         """Column j's own parameters, differentiable back into the block."""
         return type(self)(
@@ -113,7 +139,7 @@ class NormalParams(_Kind):
     domain = "raw"
     transform = staticmethod(np.positive)  # identity
     head_widths = staticmethod(lambda cardinality: (1, 1))
-    summary_keys = ("mean", "var")
+    summary_fields = (("mean", "mu"), ("var", "var"))
 
     @classmethod
     def from_head(cls, loc: C.Tensor, raw_scale: C.Tensor, shift, scale):
@@ -131,14 +157,6 @@ class NormalParams(_Kind):
         mu, var = self.mu.values[:, j], self.var.values[:, j]
         return mu + np.sqrt(var) * rng.standard_normal(mu.shape)
 
-    def summary(self, j: int, rows) -> list[dict]:
-        """One record of column j's parameters per row of rows."""
-        mean_key, var_key = self.summary_keys
-        return [
-            {"kind": self.kind, mean_key: mu, var_key: var}
-            for mu, var in zip(self.mu.values[rows, j].tolist(), self.var.values[rows, j].tolist())
-        ]
-
 
 @dataclass(frozen=True)
 class LogNormalParams(NormalParams):
@@ -148,7 +166,7 @@ class LogNormalParams(NormalParams):
     support = "values > 0"
     safe_value = 1.0
     unsupported = staticmethod(lambda x, cardinality: x <= 0)
-    summary_keys = ("log_mean", "log_var")
+    summary_fields = (("log_mean", "mu"), ("log_var", "var"))
 
     def log_prob(self, x) -> C.Tensor:
         lx = np.log(self._checked(_block(x)))
@@ -175,6 +193,7 @@ class PoissonParams(_Kind):
     unsupported = staticmethod(lambda x, cardinality: (x < 0) | (x % 1 != 0))
     format_cell = staticmethod(lambda value: str(int(value)))
     head_widths = staticmethod(lambda cardinality: (1, 0))
+    summary_fields = (("rate", "rate"),)
 
     @classmethod
     def baseline(cls, values: np.ndarray, cardinality: int) -> tuple[float, str]:
@@ -186,16 +205,13 @@ class PoissonParams(_Kind):
 
     def log_prob(self, x) -> C.Tensor:
         xv = self._checked(_block(x))
-        return C.constant(xv) * C.log(self.rate) - self.rate - C.constant(gammaln(xv + 1.0))
+        return C.constant(xv) * C.log(self.rate) - self.rate - C.constant(log_factorial(xv))
 
     def mode(self) -> np.ndarray:
         return np.floor(self.rate.values)
 
     def sample(self, rng, j: int = 0) -> np.ndarray:
         return rng.poisson(self.rate.values[:, j]).astype(np.float64)
-
-    def summary(self, j: int, rows) -> list[dict]:
-        return [{"kind": self.kind, "rate": rate} for rate in self.rate.values[rows, j].tolist()]
 
 
 @dataclass(frozen=True)
@@ -210,6 +226,7 @@ class CategoricalParams(_Kind):
     format_cell = staticmethod(lambda value: str(int(value)))
     head_widths = staticmethod(lambda cardinality: (cardinality - 1, 0))
     scalar_heads = (False, False)
+    summary_fields = (("probs", "probs"),)
     block_rule = staticmethod(np.equal)  # slot j of class r is set where rule(j, r): one-hot
 
     @classmethod
@@ -247,10 +264,6 @@ class CategoricalParams(_Kind):
         idx = (u[:, None] > cdf).sum(axis=1)
         return np.minimum(idx, probs.shape[1] - 1).astype(np.float64)
 
-    def summary(self, j: int, rows) -> list[dict]:
-        probs = _grouped(self.probs.values)[rows, j].tolist()
-        return [{"kind": self.kind, "probs": p} for p in probs]
-
 
 @dataclass(frozen=True)
 class OrdinalParams(CategoricalParams):
@@ -261,6 +274,7 @@ class OrdinalParams(CategoricalParams):
     metric = "displacement"
     head_widths = staticmethod(lambda cardinality: (1, cardinality - 1))
     scalar_heads = (True, False)
+    summary_fields = (("location", "location"), ("probs", "probs"), ("thresholds", "thresholds"))
     block_rule = staticmethod(np.less_equal)  # thermometer: class r sets slots 0..r
 
     @classmethod
@@ -283,13 +297,6 @@ class OrdinalParams(CategoricalParams):
         R = self.thresholds.values.shape[-1] + 1
         classes = self._checked(_block(x), R).astype(np.intp)
         return C.cumulative_logit_log_prob(_grouped_tensor(self.thresholds), self.location, classes)
-
-    def summary(self, j: int, rows) -> list[dict]:
-        records = super().summary(j, rows)
-        thresholds = _grouped(self.thresholds.values)[rows, j].tolist()
-        for rec, t, loc in zip(records, thresholds, self.location.values[rows, j].tolist()):
-            rec.update(thresholds=t, location=loc)
-        return records
 
 
 LikelihoodParams = NormalParams | PoissonParams | CategoricalParams  # and their subclasses

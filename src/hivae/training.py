@@ -173,6 +173,8 @@ def tau_schedule(epoch: int, config: TrainConfig) -> float:
     """Linear decrease from tau_start to tau_end over the epoch range."""
     if config.epochs == 1:
         return config.tau_start
+    if epoch == config.epochs - 1:  # the formula below can round a tiny tau_end to 0
+        return config.tau_end
     frac = epoch / (config.epochs - 1)
     return config.tau_start + (config.tau_end - config.tau_start) * frac
 

@@ -57,6 +57,17 @@ class TestTrain:
         assert capsys.readouterr().err == "error: need 0 < tau_end <= tau_start < inf\n"
         assert not out.exists()
 
+    def test_last_epoch_ends_at_tau_end_from_a_huge_tau_start(self, dataset, tmp_path, capsys):
+        """The interpolated last temperature, 1e300 + (1e-3 - 1e300) * 1.0, rounds to 0."""
+        _, _, data, types, _ = dataset
+        out = tmp_path / "m.json"
+        code = main(["train", "--data", data, "--types", types, "--out", str(out),
+                     *FAST, "--epochs", "3", "--tau-start", "1e300"])
+        assert code == 0, capsys.readouterr().err
+        lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("epoch=")]
+        assert [l.split(",")[1] for l in lines] == ["tau=1e+300", "tau=5e+299", "tau=0.001"]
+        assert json.loads(out.read_text())["format"] == "hivae-model"
+
     def test_bad_data_is_data_error(self, tmp_path):
         data = tmp_path / "bad.csv"
         data.write_text("1,2\n3\n")

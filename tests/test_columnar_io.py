@@ -11,10 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hivae import benchmark as B
+from hivae import generative as G
 from hivae import imputation as I
+from hivae import recognition as R
 from hivae import training as T
 from hivae.cli import main
-from hivae.kinds import KINDS
+from hivae.kinds import KINDS, json_floats
 from hivae.tabular import (
     WRITE_CHUNK_ROWS,
     ColumnSpec,
@@ -392,3 +394,102 @@ def test_sidecar_bytes_equal_json_dump_with_an_infinite_pos_fill(tmp_path):
     got = (tmp_path / "o.csv.fills.json").read_bytes()
     assert got == (tmp_path / "want.json").read_bytes()
     assert b'"value": Infinity' in got
+
+
+# ---------------------------------------------------------------------------
+# The sidecar text against per-kind record dicts built from the same blocks.
+# ---------------------------------------------------------------------------
+
+
+def reference_summary(block, j, rows):
+    """Block column j's params dicts at rows: the per-kind construction the
+    sidecar was once encoded from with json.dumps."""
+    if block.kind in ("real", "pos"):
+        mean_key, var_key = ("mean", "var") if block.kind == "real" else ("log_mean", "log_var")
+        return [{"kind": block.kind, mean_key: mu, var_key: var}
+                for mu, var in zip(block.mu.values[rows, j].tolist(),
+                                   block.var.values[rows, j].tolist())]
+    if block.kind == "count":
+        return [{"kind": "count", "rate": rate} for rate in block.rate.values[rows, j].tolist()]
+    records = [{"kind": block.kind, "probs": p} for p in block.probs.values[rows, j].tolist()]
+    if block.kind == "ordinal":
+        thresholds = block.thresholds.values[rows, j].tolist()
+        for rec, t, loc in zip(records, thresholds, block.location.values[rows, j].tolist()):
+            rec.update(thresholds=t, location=loc)
+    return records
+
+
+def reference_records(result, summaries):
+    """The sidecar records as dicts: one per filled cell, column by column."""
+    records = []
+    for d, rows in enumerate(result.rows):
+        values = result.completed.cells[rows, d].tolist()
+        records += [{"row": n, "col": d, "method": result.method, "value": v, "params": p}
+                    for n, v, p in zip(rows.tolist(), values, summaries(d, rows))]
+    return records
+
+
+def sidecar_text(result):
+    """What hivae impute writes, without the final newline."""
+    return "[" + ", ".join(filter(None, map(result.column_text, range(len(result.rows))))) + "]"
+
+
+EVERY_KIND = Schema((
+    ColumnSpec("r0", "real"), ColumnSpec("p", "pos"), ColumnSpec("n", "count"),
+    ColumnSpec("c", "cat", 3), ColumnSpec("o4", "ordinal", 4), ColumnSpec("r1", "real"),
+    ColumnSpec("o2", "ordinal", 2), ColumnSpec("b", "cat", 2),
+))
+
+
+def every_kind_table(n=60, seed=11):
+    rng = np.random.default_rng(seed)
+    cells = np.column_stack([
+        rng.normal(size=n), np.exp(rng.normal(size=n)), rng.poisson(2.0, n),
+        rng.integers(0, 3, n), rng.integers(0, 4, n), rng.normal(5.0, 2.0, n),
+        rng.integers(0, 2, n), rng.integers(0, 2, n),
+    ]).astype(np.float64)
+    observed = rng.random(cells.shape) > 0.3
+    observed[0] = False  # every column has a fill
+    return HeterogeneousTable(EVERY_KIND, cells), MissingMask(observed)
+
+
+def test_json_floats_write_what_json_dumps_writes():
+    values = np.array([[np.nan, np.inf, -np.inf], [-0.0, 0.0, 5e-324],
+                       [1e300, 0.1, 1.0 / 3.0], [-2.5e-308, 1e16, 123456789.0]])
+    assert json_floats(values) == [json.dumps(v) for v in values.ravel().tolist()]
+    assert json_floats(values[1:2, 1:]) == ["0.0", "5e-324"]
+    assert json_floats(np.zeros((0, 3))) == []
+
+
+@pytest.mark.parametrize("method", ["map_mode", "sample", "mean_mode"])
+def test_sidecar_text_equals_json_dumps_of_per_kind_records(method):
+    table, mask = every_kind_table()
+    if method == "mean_mode":
+        result = B.mean_mode_impute(table, mask)
+        reference = reference_records(result, lambda d, rows: [
+            {"kind": table.schema.columns[d].kind,
+             "statistic": "mode" if table.schema.columns[d].is_nominal else "mean"}] * rows.size)
+    else:
+        state = T.train(table, mask, FAST)
+        # the pos column's decoded log-mean is ~1000: exp overflows, every pos fill is inf
+        shift = state.stats.shift.copy()
+        shift[1] = 1000.0
+        state.stats = NormalizationStats(shift, state.stats.scale)
+        rng = np.random.default_rng(2)
+        params = R.posterior(state.encoder, table, mask, state.stats, range(table.n_rows))
+        latent = R.map_latent(params) if method == "map_mode" else R.sample_latent(params, 0.5, rng)
+        decoded = G.decode(state.generative, latent, state.stats)
+        values = (np.column_stack([G.mode(block)[:, j] for block, j in decoded.columns])
+                  if method == "map_mode"
+                  else np.column_stack([block.sample(rng, j) for block, j in decoded.columns]))
+        result = I.filled(table, mask, values, method,
+                          lambda d, rows: G.params_summary(*decoded.columns[d], rows))
+        reference = reference_records(
+            result, lambda d, rows: reference_summary(*decoded.columns[d], rows))
+        assert np.isinf(result.completed.cells[~mask.observed[:, 1], 1]).all()
+    text = sidecar_text(result)
+    assert text == json.dumps(reference, sort_keys=True)
+    assert result.records() == json.loads(text)
+    assert {rec["params"]["kind"] for rec in result.records()} == set(KINDS)
+    if method != "mean_mode":
+        assert '"value": Infinity' in text

@@ -320,7 +320,8 @@ def test_sampled_fills_draw_column_by_column_in_schema_order(seed):
     records = []
     for d in range(table.n_cols):
         rows = np.flatnonzero(~mask.observed[:, d])
-        records += [{"row": n, "col": d, "method": "sample", "value": cells[n, d], "params": p}
+        records += [{"row": n, "col": d, "method": "sample", "value": cells[n, d],
+                     "params": json.loads(p)}
                     for n, p in zip(rows.tolist(), decoded[d].summary(0, rows))]
     assert result.completed.cells.tobytes() == cells.tobytes()
     assert json.dumps(result.records(), sort_keys=True) == json.dumps(records, sort_keys=True)
