@@ -16,7 +16,6 @@ import csv
 import functools
 import hashlib
 import itertools
-import math
 import operator
 from dataclasses import dataclass
 
@@ -277,10 +276,13 @@ def encode_inputs(
 #
 # Data file:  comma-separated, no header, one row per object; an empty field
 #             is a missing cell; nominal cells are integer class indices; blank
-#             lines are skipped (see _read_records for a '""' line).
+#             lines are skipped (see _records for a '""' line).  Data and
+#             mask files are read, and data files written, CHUNK_ROWS rows at a time.
 # Types file: one line per column, "name,kind,cardinality"; cardinality may be
 #             omitted (or 0) for numeric kinds; kind in {real,pos,count,cat,ordinal}.
 # Mask file:  comma-separated 0/1 matrix, same shape as data, 1 = observed.
+
+CHUNK_ROWS = 4096
 
 
 def load_types(path) -> Schema:
@@ -309,92 +311,79 @@ def load_types(path) -> Schema:
     return Schema(tuple(cols))
 
 
-def _parse_cell(field: str, col: ColumnSpec, where: str) -> float:
-    try:
-        value = float(field)
-    except ValueError:
-        raise DataError(f"{where}: {field!r} is not numeric") from None
-    if not math.isfinite(value):
-        raise DataError(f"{where}: non-finite value {field!r}")
-    kind = col.kind_class
-    if kind.unsupported(value, col.cardinality):
-        requirement = kind.support.format(last=col.cardinality - 1)
-        raise DataError(f"{where}: {col.kind} column requires {requirement}, got {field!r}")
-    return value
-
-
-def _read_records(path, one_column: bool) -> tuple[list[int], list[list[str]]]:
-    """Record numbers (from 1) and fields of a CSV file's records, blank lines skipped.
+def _records(path, one_column: bool):
+    """Chunks of at most CHUNK_ROWS (record number from 1, fields) pairs of a
+    CSV file's records, blank lines skipped.
 
     csv.writer writes a record of one empty field as '""'.  In a one-column
     file that record is one missing cell; in a wider file it is skipped like a
     blank line.
     """
     blank = ([],) if one_column else ([], [""])
-    numbers, rows = [], []
     with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if row not in blank:
-                numbers.append(lineno)
-                rows.append(row)
-    return numbers, rows
+        records = ((n, row) for n, row in enumerate(csv.reader(fh), start=1) if row not in blank)
+        while chunk := list(itertools.islice(records, CHUNK_ROWS)):
+            yield chunk
 
 
-def _parse_columns(rows: list[list[str]], schema: Schema):
-    """(cells, empty flags) of the rows, parsed column by column, or None when
-    a row is ragged or a field fails its column's checks."""
-    n, D = len(rows), len(schema)
-    if set(map(len, rows)) != {D}:
-        return None
-    cells = np.zeros((n, D))
-    empty = np.zeros((n, D), dtype=bool)
-    for d, (col, fields) in enumerate(zip(schema.columns, zip(*rows))):
-        fields = list(map(str.strip, fields))
-        empty[:, d] = np.fromiter(map(operator.not_, fields), bool, n)
-        try:
-            values = np.fromiter(map(float, filter(None, fields)), np.float64)
-        except ValueError:
-            return None
-        if not np.isfinite(values).all() or np.any(
-            col.kind_class.unsupported(values, col.cardinality)
-        ):
-            return None
-        cells[~empty[:, d], d] = values
-    return cells, empty
+def _parse_chunk(path, chunk, schema: Schema):
+    """(cells, empty flags) of a chunk's records, parsed column by column.
 
-
-def _raise_first_error(path, numbers: list[int], rows: list[list[str]], schema: Schema):
-    """Raise the DataError of the first ragged row or bad cell in file order.
-
-    Called only when _parse_columns failed; it makes the same checks one cell
-    at a time, so it always raises.
+    A ragged record, or a field that is not numeric, not finite or out of its
+    column's support, raises a DataError.  Its message names the chunk's first
+    record and field, so it is exact for a chunk of one record; a failed
+    chunk is parsed again a record at a time, and the first record that fails
+    in file order raises.
     """
-    D = len(schema)
-    for lineno, row in zip(numbers, rows):
-        if len(row) != D:
-            raise DataError(f"{path}:{lineno}: expected {D} fields, got {len(row)}")
-        for col, field in zip(schema.columns, row):
-            field = field.strip()
-            if field:
-                _parse_cell(field, col, f"{path}:{lineno}, column {col.name!r}")
+    numbers, rows = zip(*chunk)
+    n, D = len(rows), len(schema)
+    try:
+        if set(map(len, rows)) != {D}:
+            raise DataError(f"{path}:{numbers[0]}: expected {D} fields, got {len(rows[0])}")
+        cells = np.zeros((n, D))
+        empty = np.zeros((n, D), dtype=bool)
+        for d, (col, fields) in enumerate(zip(schema.columns, zip(*rows))):
+            fields = list(map(str.strip, fields))
+            where = f"{path}:{numbers[0]}, column {col.name!r}"
+            empty[:, d] = np.fromiter(map(operator.not_, fields), bool, n)
+            try:
+                values = np.fromiter(map(float, filter(None, fields)), np.float64)
+            except ValueError:
+                raise DataError(f"{where}: {fields[0]!r} is not numeric") from None
+            if not np.isfinite(values).all():
+                raise DataError(f"{where}: non-finite value {fields[0]!r}")
+            if np.any(col.kind_class.unsupported(values, col.cardinality)):
+                requirement = col.kind_class.support.format(last=col.cardinality - 1)
+                raise DataError(
+                    f"{where}: {col.kind} column requires {requirement}, got {fields[0]!r}")
+            cells[~empty[:, d], d] = values
+        return cells, empty
+    except DataError:
+        if n == 1:
+            raise
+    for record in chunk:
+        _parse_chunk(path, [record], schema)
 
 
 def load_mask(path) -> MissingMask:
-    numbers, rows = _read_records(path, one_column=False)
-    if not rows:
+    widths, flags = set(), []
+    for chunk in _records(path, one_column=False):
+        rows = [row for _, row in chunk]
+        entries = {f: f.strip() for f in set(itertools.chain.from_iterable(rows))}
+        if not set(entries.values()) <= {"0", "1"}:
+            for lineno, row in chunk:
+                for colno, f in enumerate(row, start=1):
+                    if entries[f] not in ("0", "1"):
+                        raise DataError(
+                            f"{path}:{lineno}, column {colno}: mask entry must be 0 or 1")
+        widths.update(map(len, rows))
+        ones = {f for f, entry in entries.items() if entry == "1"}
+        flags.append(np.fromiter(map(ones.__contains__, itertools.chain.from_iterable(rows)), bool))
+    if not widths:
         raise DataError(f"{path}: empty mask file")
-    entries = {f: f.strip() for f in set(itertools.chain.from_iterable(rows))}
-    if not set(entries.values()) <= {"0", "1"}:
-        for lineno, row in zip(numbers, rows):
-            for colno, f in enumerate(row, start=1):
-                if entries[f] not in ("0", "1"):
-                    raise DataError(f"{path}:{lineno}, column {colno}: mask entry must be 0 or 1")
-    widths = set(map(len, rows))
     if len(widths) != 1:
         raise DataError(f"{path}: ragged mask rows (widths {sorted(widths)})")
-    ones = {f for f, entry in entries.items() if entry == "1"}
-    flags = np.fromiter(map(ones.__contains__, itertools.chain.from_iterable(rows)), bool)
-    return MissingMask(flags.reshape(len(rows), -1))
+    return MissingMask(np.concatenate(flags).reshape(-1, widths.pop()))
 
 
 def load_dataset(data_file, types_file, mask_file=None) -> tuple[HeterogeneousTable, MissingMask]:
@@ -406,13 +395,11 @@ def load_dataset(data_file, types_file, mask_file=None) -> tuple[HeterogeneousTa
     observed must actually carry a value.
     """
     schema = load_types(types_file)
-    numbers, rows = _read_records(data_file, one_column=len(schema) == 1)
-    if not rows:
+    chunks = [_parse_chunk(data_file, chunk, schema)
+              for chunk in _records(data_file, one_column=len(schema) == 1)]
+    if not chunks:
         raise DataError(f"{data_file}: no data rows")
-    parsed = _parse_columns(rows, schema)
-    if parsed is None:
-        _raise_first_error(data_file, numbers, rows, schema)
-    values, is_empty = parsed
+    values, is_empty = map(np.concatenate, zip(*chunks))
 
     if mask_file is None:
         observed = ~is_empty
@@ -435,9 +422,6 @@ def load_dataset(data_file, types_file, mask_file=None) -> tuple[HeterogeneousTa
     return HeterogeneousTable(schema, values), MissingMask(observed)
 
 
-WRITE_CHUNK_ROWS = 4096  # rows formatted and written at a time
-
-
 def write_table(table: HeterogeneousTable, path, mask: MissingMask | None = None) -> None:
     """Write a table in the input CSV dialect; masked cells become empty fields.
 
@@ -446,8 +430,8 @@ def write_table(table: HeterogeneousTable, path, mask: MissingMask | None = None
     """
     formats = [col.kind_class.format_cell for col in table.schema.columns]
     with open(path, "w", newline="") as fh:
-        for start in range(0, table.n_rows, WRITE_CHUNK_ROWS):
-            chunk = slice(start, start + WRITE_CHUNK_ROWS)
+        for start in range(0, table.n_rows, CHUNK_ROWS):
+            chunk = slice(start, start + CHUNK_ROWS)
             columns = []
             for d, format_cell in enumerate(formats):
                 cells = table.cells[chunk, d]

@@ -79,6 +79,8 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if not (0.0 < self.tau_end <= self.tau_start < math.inf):
             raise ValueError("need 0 < tau_end <= tau_start < inf")
+        if self.tau_end < 1e-300:  # the Gumbel-softmax logits divided by it overflow
+            raise ValueError("tau_end must be >= 1e-300")
         if self.encoder_mode not in (R.INPUT_DROPOUT, R.FACTORIZED):
             raise ValueError(f"unknown encoder_mode {self.encoder_mode!r}")
         if self.encoder_mode == R.FACTORIZED and self.dim_s != 1:

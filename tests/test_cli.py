@@ -57,6 +57,23 @@ class TestTrain:
         assert capsys.readouterr().err == "error: need 0 < tau_end <= tau_start < inf\n"
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("tau_end", ["1e-320", "1e-310", "1e-300"])
+    def test_tau_end_below_1e_300_is_usage_error(self, dataset, tmp_path, capsys, tau_end):
+        """The last epoch runs at exactly tau_end, and below 1e-300 its Gumbel-softmax
+        draw overflows: the run would warn and end with a non-finite loss."""
+        _, _, data, types, _ = dataset
+        out = tmp_path / "m.json"
+        code = main(["train", "--data", data, "--types", types, "--out", str(out),
+                     *FAST, "--epochs", "3", "--tau-end", tau_end])
+        err = capsys.readouterr().err
+        if tau_end == "1e-300":
+            assert code == 0, err
+            assert json.loads(out.read_text())["format"] == "hivae-model"
+        else:
+            assert (code, err) == (1, "error: tau_end must be >= 1e-300\n")
+            assert not out.exists()
+
     def test_last_epoch_ends_at_tau_end_from_a_huge_tau_start(self, dataset, tmp_path, capsys):
         """The interpolated last temperature, 1e300 + (1e-3 - 1e300) * 1.0, rounds to 0."""
         _, _, data, types, _ = dataset

@@ -4,6 +4,7 @@ layouts (whitespace, quoting, blank lines, one-column files)."""
 
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -18,14 +19,13 @@ from hivae import training as T
 from hivae.cli import main
 from hivae.kinds import KINDS, json_floats
 from hivae.tabular import (
-    WRITE_CHUNK_ROWS,
+    CHUNK_ROWS,
     ColumnSpec,
     DataError,
     HeterogeneousTable,
     MissingMask,
     NormalizationStats,
     Schema,
-    _parse_cell,
     load_dataset,
     load_mask,
     write_mask,
@@ -58,6 +58,19 @@ def reference_load_mask(path):
     return np.array(rows, dtype=bool)
 
 
+def reference_cell(field, col, where):
+    try:
+        value = float(field)
+    except ValueError:
+        raise DataError(f"{where}: {field!r} is not numeric") from None
+    if not math.isfinite(value):
+        raise DataError(f"{where}: non-finite value {field!r}")
+    if col.kind_class.unsupported(value, col.cardinality):
+        requirement = col.kind_class.support.format(last=col.cardinality - 1)
+        raise DataError(f"{where}: {col.kind} column requires {requirement}, got {field!r}")
+    return value
+
+
 def reference_load(data_file, schema, mask_file=None):
     """(cells, observed) as the row-wise loader builds them."""
     D = len(schema)
@@ -74,7 +87,7 @@ def reference_load(data_file, schema, mask_file=None):
                 erow.append(field == "")
                 crow.append(
                     0.0 if field == "" else
-                    _parse_cell(field, col, f"{data_file}:{lineno}, column {col.name!r}")
+                    reference_cell(field, col, f"{data_file}:{lineno}, column {col.name!r}")
                 )
             cells.append(crow)
             empty.append(erow)
@@ -287,6 +300,63 @@ def test_first_error_is_reported_with_its_record_number(tmp_path, text, line):
     assert f"DataError: {got.value}" == outcome(reference_load, data_file, schema)
 
 
+# Files of one chunk, of one chunk and a record, and of two chunks and a record.
+C = CHUNK_ROWS
+BOUNDARY_ROWS = [C, C + 1, 2 * C + 1]
+
+
+def boundary_schema(D):
+    return Schema((ColumnSpec("a", "count"), ColumnSpec("b", "real"))[:D])
+
+
+def boundary_records(n, D):
+    """n records; every third cell is empty, written '""' when alone on its line."""
+    cells = [["" if (i + d) % 3 == 0 else str(i % 7 + d) for d in range(D)] for i in range(n)]
+    return [",".join(row) or '""' for row in cells]
+
+
+@pytest.mark.parametrize("n", BOUNDARY_ROWS)
+@pytest.mark.parametrize("D", [1, 2])
+def test_load_across_chunk_boundaries_matches_row_wise_reference(tmp_path, n, D):
+    """Blank lines and '""' lines (a record in a one-column file, skipped in
+    a wider one) straddle each boundary, in the data file and the mask file."""
+    lines = boundary_records(n, D)
+    masks = [",".join("1" if (i + d) % 3 and (i + d) % 4 else "0" for d in range(D))
+             for i in range(n)]
+    for at in (2 * C, C, C - 1):
+        lines[at:at] = ["", '""', ""]
+        masks[at:at] = ["", '""', ""]
+    data_file, types_file, mask_file = write_files(
+        tmp_path, "\n".join(lines) + "\n", boundary_schema(D), "\r\n".join(masks) + "\r\n")
+    want = outcome(reference_load, data_file, boundary_schema(D))
+    assert want[0].shape == (n + 3 * (D == 1), D)
+    assert_same_outcome(outcome(columnar_load, data_file, types_file), want)
+    if D == 2:
+        got = outcome(lambda path: load_mask(path).observed, mask_file)
+        assert np.array_equal(got, reference_load_mask(mask_file))
+        want = outcome(reference_load, data_file, boundary_schema(D), mask_file)
+        assert_same_outcome(outcome(columnar_load, data_file, types_file, mask_file), want)
+
+
+@pytest.mark.parametrize("n", BOUNDARY_ROWS)
+@pytest.mark.parametrize("D", [1, 2])
+@pytest.mark.parametrize("errors,first", [
+    ({C - 1: "bad"}, C),  # the last record of chunk 1
+    ({C: "bad", C + 1: "ragged"}, C + 1),  # in chunk 2, a bad field, then a ragged record
+    ({C: "ragged", C + 1: "bad"}, C + 1),  # and the reverse
+], ids=["bad_last_of_chunk_1", "bad_then_ragged", "ragged_then_bad"])
+def test_first_error_across_chunk_boundaries_matches_row_wise_reference(
+        tmp_path, n, D, errors, first):
+    """Each error replaces the record at its index, or is appended at the end."""
+    lines = boundary_records(n, D)
+    for at, error in errors.items():
+        lines[at:at + 1] = ["x," * (D - 1) + "-1" if error == "bad" else "1," * D + "1"]
+    data_file, types_file, _ = write_files(tmp_path, "\n".join(lines) + "\n", boundary_schema(D))
+    want = outcome(reference_load, data_file, boundary_schema(D))
+    assert want.startswith(f"DataError: {data_file}:{first}")
+    assert outcome(columnar_load, data_file, types_file) == want
+
+
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_writers_match_row_wise_reference_bytes(tmp_path_factory, data):
@@ -309,7 +379,7 @@ def test_writers_match_row_wise_reference_bytes(tmp_path_factory, data):
 @pytest.mark.parametrize("kinds", [("real", "pos", "count", "cat", "ordinal"), ("real",)])
 @pytest.mark.parametrize("masked", [False, True])
 def test_writer_matches_reference_past_two_chunks(tmp_path, kinds, masked):
-    n = 2 * WRITE_CHUNK_ROWS + 1
+    n = 2 * CHUNK_ROWS + 1
     schema = Schema(tuple(
         ColumnSpec(f"c{d}", kind, 3 if KINDS[kind].nominal else 0) for d, kind in enumerate(kinds)
     ))
@@ -320,7 +390,7 @@ def test_writer_matches_reference_past_two_chunks(tmp_path, kinds, masked):
     draws["ordinal"] = draws["cat"]
     table = HeterogeneousTable(schema, np.column_stack([draws[k]() for k in kinds]))
     observed = rng.random((n, len(kinds))) > 0.3
-    observed[[0, WRITE_CHUNK_ROWS, n - 1]] = False  # a fully masked row in each chunk
+    observed[[0, CHUNK_ROWS, n - 1]] = False  # a fully masked row in each chunk
     mask = MissingMask(observed) if masked else None
     write_table(table, tmp_path / "got.csv", mask)
     reference_write(table, tmp_path / "want.csv", mask)
